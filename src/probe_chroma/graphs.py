@@ -11,9 +11,6 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from . import _bits
 from .errors import (
     CapabilityError,
     GraphConstructionError,
@@ -29,8 +26,9 @@ class Graph:
     """Immutable simple graph with sorted adjacency.
 
     ``edges`` is a tuple of ``(u, v)`` pairs with ``u < v``, sorted
-    lexicographically.  ``adj[v]`` is a frozenset of neighbours.  Packed
-    adjacency rows for the searches are built lazily by :meth:`bitrows`.
+    lexicographically.  ``adj[v]`` is a frozenset of neighbours.  The
+    searches use adjacency rows as plain ``int`` bitsets, built lazily by
+    :meth:`bitrows`: bit ``w`` of row ``v`` is set when ``vw`` is an edge.
     """
 
     __slots__ = ("n", "edges", "adj", "_rows")
@@ -54,9 +52,9 @@ class Graph:
     def neighbours(self, v: int) -> frozenset:
         return self.adj[v]
 
-    def bitrows(self) -> np.ndarray:
+    def bitrows(self) -> tuple:
         if self._rows is None:
-            self._rows = _bits.pack_rows(self.n, self.adj)
+            self._rows = tuple(sum(1 << w for w in nbrs) for nbrs in self.adj)
         return self._rows
 
     def __eq__(self, other):
@@ -176,9 +174,10 @@ def induced_subgraph(g: Graph, vertices) -> tuple:
     keep = sorted(set(vertices))
     index = {old: new for new, old in enumerate(keep)}
     edges = [
-        (index[u], index[v])
-        for u, v in g.edges
-        if u in index and v in index
+        (index[u], index[w])
+        for u in keep
+        for w in g.adj[u]
+        if u < w and w in index
     ]
     return build_graph(len(keep), edges), tuple(keep)
 
@@ -391,6 +390,14 @@ def _canonical_cycle(cycle):
     return tuple(rot)
 
 
+def iter_bits(row: int):
+    """Set bit positions of an ``int`` bitset, in ascending order."""
+    while row:
+        low = row & -row
+        yield low.bit_length() - 1
+        row ^= low
+
+
 def find_k4(g: Graph):
     """Some 4-clique as an ascending tuple, or None."""
     if g.n < 4:
@@ -400,12 +407,10 @@ def find_k4(g: Graph):
     rows = g.bitrows()
     for u, v in g.edges:
         common = rows[u] & rows[v]
-        if not common.any():
-            continue
-        for w in _bits.iter_bits(common):
+        for w in iter_bits(common):
             hit = common & rows[w]
-            x = _bits.first_bit(hit)
-            if x >= 0:
+            if hit:
+                x = (hit & -hit).bit_length() - 1
                 return tuple(sorted((u, v, w, x)))
     return None
 
@@ -425,12 +430,12 @@ def find_induced_subgraph(host: Graph, pattern: Graph, *, node_budget=None):
     if p > host.n:
         return None
     rows = host.bitrows()
-    mask = _bits.full_mask(host.n)
+    mask = (1 << host.n) - 1
     image = [0] * p
     counter = [0]
 
     def rec(d, cands):
-        for x in _bits.iter_bits(cands[d]):
+        for x in iter_bits(cands[d]):
             counter[0] += 1
             if node_budget is not None and counter[0] > node_budget:
                 raise SearchBudgetExceeded(
@@ -445,9 +450,8 @@ def find_induced_subgraph(host: Graph, pattern: Graph, *, node_budget=None):
                 if pattern.has_edge(d, j):
                     row = cands[j] & rows[x]
                 else:
-                    row = cands[j] & ~rows[x] & mask
-                    _bits.clear_bit(row, x)
-                if not row.any():
+                    row = cands[j] & ~(rows[x] | 1 << x)
+                if not row:
                     dead = True
                     break
                 nxt.append(row)
@@ -455,40 +459,12 @@ def find_induced_subgraph(host: Graph, pattern: Graph, *, node_budget=None):
                 return True
         return False
 
-    if rec(0, [mask.copy() for _ in range(p)]):
+    if rec(0, [mask] * p):
         return InducedEmbedding(pattern, host, tuple(image))
     return None
 
 
 # ------------------------------------------------------- structure recognisers
-
-def complement_components(g: Graph) -> list:
-    """Components of the complement graph, without materialising it."""
-    if g.n == 0:
-        return []
-    unvisited = _bits.full_mask(g.n)
-    rows = g.bitrows()
-    comps = []
-    while True:
-        s = _bits.first_bit(unvisited)
-        if s < 0:
-            break
-        _bits.clear_bit(unvisited, s)
-        comp = [s]
-        frontier = [s]
-        while frontier:
-            v = frontier.pop()
-            fresh = unvisited & ~rows[v]
-            fresh &= _bits.full_mask(g.n)
-            new = list(_bits.iter_bits(fresh))
-            if new:
-                unvisited &= rows[v]
-                comp.extend(new)
-                frontier.extend(new)
-        comps.append(tuple(sorted(comp)))
-    comps.sort(key=lambda c: c[0])
-    return comps
-
 
 def split_partition(g: Graph):
     """(clique, independent) vertex tuples if g is a split graph, else None.
@@ -510,11 +486,10 @@ def split_partition(g: Graph):
     clique = order[:q]
     indep = order[q:]
     rows = g.bitrows()
-    cl_row = _bits.bit_row(n, clique)
+    cl_row = sum(1 << c for c in clique)
     for c in clique:
-        want = cl_row.copy()
-        _bits.clear_bit(want, c)
-        if (rows[c] & want != want).any():
+        want = cl_row ^ 1 << c
+        if rows[c] & want != want:
             return None
     indep_set = set(indep)
     for u, v in g.edges:

@@ -1,8 +1,8 @@
 """3-colouring solver for partitioned probe P5-free graphs.
 
 The solver is a promise algorithm: verdicts are trustworthy on genuine probe
-P5-free inputs.  Every structural claim the algorithm leans on is asserted at
-run time; a failed assertion aborts the solve with a
+P5-free inputs.  Every structural claim the algorithm leans on is checked at
+run time; a failed check aborts the solve with a
 ``not_probe_p5_free`` verdict naming the claim and the witnessing vertices,
 rather than guessing.  Returned colourings are verified proper
 unconditionally.
@@ -14,10 +14,7 @@ import itertools
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from . import _bits
-from .errors import CapabilityError, ListSizeError, PromiseViolation
+from .errors import ListSizeError, PromiseViolation
 from .graphs import (
     Graph,
     PartialColouring,
@@ -26,13 +23,12 @@ from .graphs import (
     _canonical_cycle,
     bipartition,
     connected_components,
-    complement_components,
     find_induced_subgraph,
     find_k4,
     induced_subgraph,
+    iter_bits,
     pattern_graph,
     shortest_odd_cycle,
-    split_partition,
 )
 from .listcol import EqualityConstraint, extend_by_2list
 from .oracles import oracle_k_colourable
@@ -44,7 +40,6 @@ NOT_PROBE_P5_FREE = "not_probe_p5_free"
 
 COMPONENT_TWO_SAT_BUDGET = 810  # 30 cycle colourings x 9 pair colourings x 3
 
-_P5 = pattern_graph("p5")
 _C5 = pattern_graph("c5")
 
 
@@ -52,8 +47,6 @@ _C5 = pattern_graph("c5")
 class SolverOptions:
     oracle_fallback: bool = False  # re-solve structurally failed components by brute force
     node_budget: int | None = 5_000_000  # cap for induced-pattern searches
-    direct_search_cap: int = 64  # below this order, skip the structural screens
-    triple_enum_cap: int = 1200  # largest order for 3-set dominating enumeration
     seed: int | None = None  # echoed into stats for reproducibility bookkeeping
 
 
@@ -66,10 +59,12 @@ class SolveStats:
     component_branches: list = field(default_factory=list)
     component_two_sat_calls: list = field(default_factory=list)
     two_sat_budget: int | None = None  # per-component hard cap, when set
+    component_vertices: range | tuple = ()  # current component; witnesses when the cap is hit
 
-    def start_component(self):
+    def start_component(self, vertices=()):
         self.component_branches.append(0)
         self.component_two_sat_calls.append(0)
+        self.component_vertices = vertices
 
     def add_branch(self):
         self.branches += 1
@@ -80,8 +75,13 @@ class SolveStats:
         self.two_sat_calls += 1
         if self.component_two_sat_calls:
             self.component_two_sat_calls[-1] += 1
-            if self.two_sat_budget is not None:
-                assert self.component_two_sat_calls[-1] <= self.two_sat_budget
+            used = self.component_two_sat_calls[-1]
+            if self.two_sat_budget is not None and used > self.two_sat_budget:
+                raise PromiseViolation(
+                    "two-sat-budget-exceeded", self.component_vertices[:20],
+                    f"a component needed more than {self.two_sat_budget} "
+                    "2-SAT rounds",
+                )
 
     def as_dict(self):
         return {
@@ -117,8 +117,16 @@ def verify_colouring(g: Graph, colouring, k: int = 3):
 def solve_3col(inst: ProbeInstance, opts: SolverOptions | None = None) -> Verdict:
     """Decide 3-colourability of a partitioned probe P5-free instance.
 
-    Components whose graph is plain P5-free go through the dominating-set
-    path; the others through the probe component algorithm.
+    Every connected component goes through the probe component algorithm.
+    That one path is enough: a component whose graph is already P5-free is
+    probe P5-free under any independent nonprobe set (the empty fill works).
+
+    A failed structural claim becomes a ``not_probe_p5_free`` verdict whose
+    diagnostic names the claim and witnessing vertices of ``inst``.  Among
+    the claims: ``two-sat-budget-exceeded`` when one component needs more
+    than ``COMPONENT_TWO_SAT_BUDGET`` 2-SAT rounds, and
+    ``propagation-left-two-colours`` when an uncoloured vertex of the probe
+    component sees two colours after propagation.
     """
     opts = opts or SolverOptions()
     t0 = time.perf_counter()
@@ -130,9 +138,9 @@ def solve_3col(inst: ProbeInstance, opts: SolverOptions | None = None) -> Verdic
         for comp in connected_components(g):
             sub, back = induced_subgraph(g, comp)
             sub_probes = frozenset(i for i, old in enumerate(back) if old in inst.probes)
-            stats.start_component()
+            stats.start_component(range(sub.n))
             try:
-                res = _solve_component(sub, sub_probes, stats, opts)
+                res = _probe_component_core(sub, sub_probes, stats, opts)
             except PromiseViolation as sf:
                 if not opts.oracle_fallback:
                     raise sf.translated(back)
@@ -154,134 +162,6 @@ def solve_3col(inst: ProbeInstance, opts: SolverOptions | None = None) -> Verdic
     stats.time_ms = (time.perf_counter() - t0) * 1000.0
     cert = tuple(colours) if status == COLOURABLE else None
     return Verdict(status, cert, diagnostic, stats)
-
-
-def _solve_component(g, probes, stats, opts):
-    if _contains_pattern(g, _P5, opts):
-        return _probe_component_core(g, probes, stats, opts)
-    return _p5free_core(g, stats, opts)
-
-
-def _contains_pattern(g, pattern, opts):
-    """Induced-copy presence for P5 or C5, with structural shortcuts.
-
-    Both patterns are connected and co-connected, so the search recurses
-    into components and join factors; split graphs contain neither.
-    """
-    if g.n < pattern.n:
-        return False
-    if g.n <= opts.direct_search_cap:
-        return find_induced_subgraph(g, pattern, node_budget=opts.node_budget) is not None
-    comps = connected_components(g)
-    if len(comps) > 1:
-        return any(
-            _contains_pattern(induced_subgraph(g, c)[0], pattern, opts) for c in comps
-        )
-    cocomps = complement_components(g)
-    if len(cocomps) > 1:
-        return any(
-            _contains_pattern(induced_subgraph(g, c)[0], pattern, opts) for c in cocomps
-        )
-    if split_partition(g) is not None:
-        return False
-    return find_induced_subgraph(g, pattern, node_budget=opts.node_budget) is not None
-
-
-# ------------------------------------------------------------ P5-free dispatch
-
-def solve_p5free_3col(g: Graph, opts: SolverOptions | None = None) -> Verdict:
-    """3-colour a connected P5-free graph via a small dominating set.
-
-    Such a graph (when K4-free) has a dominating clique or P3 on at most 3
-    vertices; each of its proper colourings propagates to 2-colour lists
-    everywhere, so one 2-SAT round per colouring decides the component.
-    """
-    return _wrap_component(lambda stats, o: _p5free_core(g, stats, o), g, opts)
-
-
-def _wrap_component(core, g, opts):
-    opts = opts or SolverOptions()
-    t0 = time.perf_counter()
-    stats = SolveStats(seed=opts.seed, two_sat_budget=COMPONENT_TWO_SAT_BUDGET)
-    stats.start_component()
-    status, diagnostic, cert = COLOURABLE, None, None
-    try:
-        res = core(stats, opts)
-        if res is None:
-            status = NOT_COLOURABLE
-        else:
-            bad = verify_colouring(g, res)
-            if bad is not None:
-                wit = [bad[1]] if bad[0] == "range" else list(bad[1])
-                raise PromiseViolation("certificate-invalid", wit,
-                                        "colouring is not proper")
-            cert = tuple(res)
-    except PromiseViolation as sf:
-        status, diagnostic = NOT_PROBE_P5_FREE, sf.diagnostic()
-    stats.time_ms = (time.perf_counter() - t0) * 1000.0
-    return Verdict(status, cert, diagnostic, stats)
-
-
-def _p5free_core(g, stats, opts):
-    if find_k4(g) is not None:
-        return None
-    dom = _dominating_clique_or_p3(g, opts)
-    if dom is None:
-        raise PromiseViolation(
-            "dominating-set-missing", [],
-            "no dominating clique or P3 on at most 3 vertices exists",
-        )
-    base = PartialColouring.blank(g.n, 3)
-    for assignment in _proper_assignments(g, dom, base):
-        stats.add_branch()
-        res = propagate(g, base.with_colours(assignment))
-        if isinstance(res, Conflict):
-            continue
-        ext = _try_extend(g, res, (), stats)
-        if ext is not None:
-            return ext.colours
-    return None
-
-
-def _dominating_clique_or_p3(g, opts):
-    """First dominating set of size <= 3 inducing a clique or a P3.
-
-    Singles are scanned by descending degree, pairs with a degree-sum cutoff,
-    triples through their middle vertex; the first hit wins.
-    """
-    n = g.n
-    rows = g.bitrows()
-    full = _bits.full_mask(n)
-    closed = [rows[v] | _bits.bit_row(n, (v,)) for v in range(n)]
-    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    for v in order:
-        if np.array_equal(closed[v], full):
-            return (v,)
-    for ii, u in enumerate(order):
-        du = g.degree(u)
-        if ii + 1 < n and du + g.degree(order[ii + 1]) + 2 < n:
-            break
-        for v in order[ii + 1:]:
-            if du + g.degree(v) + 2 < n:
-                break
-            if g.has_edge(u, v) and np.array_equal(closed[u] | closed[v], full):
-                return tuple(sorted((u, v)))
-    if n > opts.triple_enum_cap:
-        raise CapabilityError(
-            f"dominating-triple enumeration capped at {opts.triple_enum_cap} vertices, got {n}"
-        )
-    seen = set()
-    for mid in range(n):
-        nbrs = sorted(g.adj[mid])
-        for a, u in enumerate(nbrs):
-            for w in nbrs[a + 1:]:
-                trip = tuple(sorted((u, mid, w)))
-                if trip in seen:
-                    continue
-                seen.add(trip)
-                if np.array_equal(closed[u] | closed[mid] | closed[w], full):
-                    return trip
-    return None
 
 
 def _proper_assignments(g, verts, base):
@@ -330,13 +210,6 @@ def _try_extend(g, partial, equalities, stats):
 
 # ------------------------------------------------------------- probe component
 
-def solve_probe_component(g: Graph, probes, nonprobes,
-                          opts: SolverOptions | None = None) -> Verdict:
-    """Run the probe-component algorithm on one connected component."""
-    p = frozenset(probes)
-    return _wrap_component(lambda stats, o: _probe_component_core(g, p, stats, o), g, opts)
-
-
 def _probe_component_core(g, probes, stats, opts):
     if find_k4(g) is not None:
         return None
@@ -367,12 +240,10 @@ def _probe_component_core(g, probes, stats, opts):
     except PromiseViolation as sf:
         raise sf.translated(kmap)
     cycle = tuple(kmap[v] for v in local_cycle)
-    crow = _bits.bit_row(g.n, cycle)
-    rows = g.bitrows()
-    cset = set(cycle)
-    for v in range(g.n):
-        if v not in cset and np.array_equal(rows[v] & crow, crow):
-            return None
+    # a row never holds its own bit, so only vertices off the cycle can match
+    crow = sum(1 << v for v in cycle)
+    if any(row & crow == crow for row in g.bitrows()):
+        return None
     base = PartialColouring.blank(g.n, 3)
     for assignment in _proper_assignments(g, cycle, base):
         stats.add_branch()
@@ -402,18 +273,18 @@ def pick_reference_cycle(k_graph: Graph, *, node_budget=None) -> tuple:
     if emb is not None:
         return _canonical_cycle(list(emb.image))
     rows = k_graph.bitrows()
-    full = _bits.full_mask(k_graph.n)
+    full = (1 << k_graph.n) - 1
     first_tri = None
     for u, v in k_graph.edges:
         common = rows[u] & rows[v]
-        for w in _bits.iter_bits(common):
+        for w in iter_bits(common):
             if w <= v:
                 continue
             tri = (u, v, w)
             if first_tri is None:
                 first_tri = tri
-            cover = rows[u] | rows[v] | rows[w] | _bits.bit_row(k_graph.n, tri)
-            if np.array_equal(cover, full):
+            cover = rows[u] | rows[v] | rows[w] | 1 << u | 1 << v | 1 << w
+            if cover == full:
                 return tri
     if first_tri is not None:
         return first_tri
@@ -492,7 +363,12 @@ def make_case_decomposition(g: Graph, probes, k_vertices, cycle,
         if psi.colours[v]:
             continue
         seen = {psi.colours[w] for w in g.adj[v] if psi.colours[w]}
-        assert len(seen) <= 1, "propagation left a vertex seeing two colours"
+        if len(seen) >= 2:
+            raise PromiseViolation(
+                "propagation-left-two-colours",
+                [v] + sorted(w for w in g.adj[v] if psi.colours[w]),
+                "an uncoloured vertex of the probe component sees two colours",
+            )
         if seen:
             k_u[seen.pop() - 1].add(v)
         else:
@@ -558,15 +434,15 @@ def find_dominating_pair(g: Graph, k_vertices, targets):
     if not tset:
         return ()
     rows = g.bitrows()
-    trow = _bits.bit_row(g.n, tset)
+    trow = sum(1 << t for t in tset)
     kv = sorted(k_vertices)
-    closed = {v: rows[v] | _bits.bit_row(g.n, (v,)) for v in kv}
+    closed = {v: rows[v] | 1 << v for v in kv}
     for v in kv:
-        if not (trow & ~closed[v]).any():
+        if not trow & ~closed[v]:
             return (v,)
     for a, u in enumerate(kv):
         for v in kv[a + 1:]:
-            if not (trow & ~(closed[u] | closed[v])).any():
+            if not trow & ~(closed[u] | closed[v]):
                 return (u, v)
     return None
 

@@ -19,14 +19,13 @@ from probe_chroma.graphs import (
     TwoColouring,
     bipartition,
     build_graph,
-    complement_components,
     complete_graph,
-    complete_multipartite_graph,
     connected_components,
     cycle_graph,
     find_induced_subgraph,
     find_k4,
     induced_subgraph,
+    iter_bits,
     matching_graph,
     path_graph,
     pattern_graph,
@@ -197,6 +196,16 @@ class TestFindInduced:
                 assert pat.has_edge(i, j) == g.has_edge(emb.image[i], emb.image[j])
 
 
+class TestBitrows:
+    def test_rows_are_int_bitsets(self):
+        assert path_graph(4).bitrows() == (0b10, 0b101, 0b1010, 0b100)
+
+    def test_iter_bits_ascending(self):
+        assert list(iter_bits(0)) == []
+        assert list(iter_bits(0b101001)) == [0, 3, 5]
+        assert list(iter_bits(1 << 200 | 1 << 64)) == [64, 200]
+
+
 class TestFindK4:
     def test_k4_itself(self):
         assert find_k4(complete_graph(4)) == (0, 1, 2, 3)
@@ -295,15 +304,6 @@ class TestSplitPartition:
             return False
 
         assert (split_partition(g) is not None) == brute_is_split()
-
-
-class TestComplementComponents:
-    def test_complete_multipartite_splits(self):
-        comps = complement_components(complete_multipartite_graph((2, 3)))
-        assert comps == [(0, 1), (2, 3, 4)]
-
-    def test_path_complement_connected(self):
-        assert len(complement_components(path_graph(5))) == 1
 
 
 class TestPartialColouring:

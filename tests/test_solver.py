@@ -1,4 +1,10 @@
+import os
 import random
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -22,13 +28,11 @@ from probe_chroma.solver import (
     NOT_PROBE_P5_FREE,
     CaseDecomposition,
     SolverOptions,
-    _contains_pattern,
     find_dominating_pair,
     finalize_extension,
     make_case_decomposition,
     pick_reference_cycle,
     solve_3col,
-    solve_p5free_3col,
     verify_colouring,
 )
 
@@ -118,18 +122,30 @@ class TestSolveExamples:
         assert set(d) == {"branches", "two_sat_calls", "time_ms", "seed"}
 
 
+def c5_blowup(part):
+    """Five independent parts of ``part`` vertices, joined cyclically."""
+    edges = [
+        (i * part + a, (i + 1) % 5 * part + b)
+        for i in range(5) for a in range(part) for b in range(part)
+    ]
+    return build_graph(5 * part, edges)
+
+
 class TestP5FreeSolver:
+    """Plain P5-free graphs, all vertices probes: the empty fill keeps the
+    promise, so the probe component algorithm decides them."""
+
     def test_five_cycle(self):
-        v = solve_p5free_3col(cycle_graph(5))
+        v = solve_3col(all_probe(cycle_graph(5)))
         assert v.status == COLOURABLE
         assert verify_colouring(cycle_graph(5), v.colouring) is None
 
     def test_clique(self):
-        assert solve_p5free_3col(complete_graph(4)).status == NOT_COLOURABLE
+        assert solve_3col(all_probe(complete_graph(4))).status == NOT_COLOURABLE
 
     def test_split_graph(self):
         g = build_graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (0, 4), (1, 3), (1, 4)])
-        v = solve_p5free_3col(g)
+        v = solve_3col(all_probe(g))
         assert v.status == COLOURABLE
         assert verify_colouring(g, v.colouring) is None
 
@@ -141,11 +157,18 @@ class TestP5FreeSolver:
         g = gen_p5free_host(11, 0.35 + 0.05 * (seed % 7), seed)
         for comp in connected_components(g):
             sub, _ = induced_subgraph(g, comp)
-            v = solve_p5free_3col(sub)
+            v = solve_3col(all_probe(sub))
             want = oracle_k_colourable(sub, 3)
             assert (v.status == COLOURABLE) == (want is not None)
             if v.status == COLOURABLE:
                 assert verify_colouring(sub, v.colouring) is None
+
+    def test_large_c5_blowup(self):
+        g = c5_blowup(80)
+        assert (g.n, g.m) == (400, 32_000)
+        v = solve_3col(all_probe(g))
+        assert v.status == COLOURABLE
+        assert verify_colouring(g, v.colouring) is None
 
 
 class TestReferenceCycle:
@@ -249,6 +272,17 @@ class TestCaseDecomposition:
                 g, frozenset(range(6)), frozenset({0, 1, 2}), (0, 1, 2), psi
             )
         assert e.value.claim == "j-not-component-closed"
+
+    def test_two_coloured_neighbours_violate_promise(self):
+        # probe 3 is uncoloured but sees triangle corners of colours 1 and 2
+        g = build_graph(4, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3)])
+        psi = PartialColouring(3, (1, 2, 3, 0))
+        with pytest.raises(PromiseViolation) as e:
+            make_case_decomposition(
+                g, frozenset(range(4)), frozenset(range(4)), (0, 1, 2), psi
+            )
+        assert e.value.claim == "propagation-left-two-colours"
+        assert e.value.witnesses == [3, 0, 1]
 
     def test_single_class_lr_removal(self):
         # 4 and 5 are K_u[1] probes; nonprobe 6 sees only them, so it is
@@ -399,20 +433,92 @@ class TestBudgets:
             for c in v.stats.component_two_sat_calls
         )
 
+    def test_overrun_is_a_refusal(self, monkeypatch):
+        import probe_chroma.solver as solver
 
-class TestPatternScreen:
-    @pytest.mark.parametrize("seed", range(20))
-    def test_structural_path_agrees_with_direct_search(self, seed):
-        from probe_chroma.graphs import find_induced_subgraph
+        monkeypatch.setattr(solver, "COMPONENT_TWO_SAT_BUDGET", 0)
+        inst = gen_probe_instance(40, 0.5, 17, family="pentagon")
+        v = solve_3col(inst)
+        assert v.status == NOT_PROBE_P5_FREE
+        assert v.diagnostic["claim"] == "two-sat-budget-exceeded"
+        assert v.diagnostic["witnesses"]
+        assert set(v.diagnostic["witnesses"]) <= set(range(inst.graph.n))
 
-        rng = random.Random(seed)
-        g = helpers.random_graph(10, rng.uniform(0.2, 0.8), rng)
-        tight = SolverOptions(direct_search_cap=4)
-        for name in ("p5", "c5"):
-            pat = pattern_graph(name)
-            want = find_induced_subgraph(g, pat) is not None
-            assert _contains_pattern(g, pat, tight) == want
+    def test_overrun_raises_under_optimisation(self):
+        code = (
+            "from probe_chroma.errors import PromiseViolation\n"
+            "from probe_chroma.solver import SolveStats\n"
+            "print(__debug__)\n"
+            "stats = SolveStats(two_sat_budget=1)\n"
+            "stats.start_component((7, 8))\n"
+            "stats.add_two_sat()\n"
+            "try:\n"
+            "    stats.add_two_sat()\n"
+            "except PromiseViolation as e:\n"
+            "    print(e.claim, e.witnesses)\n"
+        )
+        out = _run_python(["-O", "-c", code])
+        assert out.splitlines() == ["False", "two-sat-budget-exceeded [7, 8]"]
 
-    def test_split_graph_short_circuits(self):
-        g = build_graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4)])
-        assert not _contains_pattern(g, pattern_graph("p5"), SolverOptions(direct_search_cap=2))
+
+def _run_python(args):
+    """Run a fresh interpreter on this checkout's package; return stdout."""
+    import probe_chroma
+
+    src = str(Path(probe_chroma.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+class TestNoNumpy:
+    def test_every_module_works_without_numpy(self):
+        code = (
+            "import importlib, pkgutil, sys\n"
+            "sys.modules['numpy'] = None\n"
+            "import probe_chroma\n"
+            "names = sorted(m.name for m in pkgutil.iter_modules(probe_chroma.__path__))\n"
+            "for name in names:\n"
+            "    importlib.import_module('probe_chroma.' + name)\n"
+            "from probe_chroma.graphs import cycle_graph, validate_probe_instance\n"
+            "from probe_chroma.solver import solve_3col\n"
+            "inst = validate_probe_instance(cycle_graph(5), range(5), ())\n"
+            "print(' '.join(names))\n"
+            "print(solve_3col(inst).status)\n"
+        )
+        names, status = _run_python(["-c", code]).splitlines()
+        assert {"cli", "graphs", "solver"} <= set(names.split())
+        assert status == COLOURABLE
+
+
+class TestScaling:
+    @staticmethod
+    def disjoint_edges(k):
+        g = build_graph(2 * k, [(2 * i, 2 * i + 1) for i in range(k)])
+        return validate_probe_instance(
+            g, frozenset(range(0, 2 * k, 2)), frozenset(range(1, 2 * k, 2))
+        )
+
+    @staticmethod
+    def solve_s(inst):
+        t0 = time.perf_counter()
+        v = solve_3col(inst)
+        assert v.status == COLOURABLE
+        return time.perf_counter() - t0
+
+    def test_many_components_scale_linearly(self):
+        # the per-component loop must not rescan the whole edge list; runs
+        # alternate so that a slow spell of the host hits both sizes
+        small_inst, large_inst = self.disjoint_edges(500), self.disjoint_edges(4000)
+        small, large = [], []
+        for _ in range(3):
+            small.append(self.solve_s(small_inst))
+            large.append(self.solve_s(large_inst))
+        assert statistics.median(large) / statistics.median(small) < 12
