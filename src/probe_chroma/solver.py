@@ -39,6 +39,7 @@ NOT_COLOURABLE = "not_colourable"
 NOT_PROBE_P5_FREE = "not_probe_p5_free"
 
 COMPONENT_TWO_SAT_BUDGET = 810  # 30 cycle colourings x 9 pair colourings x 3
+C5_SEARCH_NODE_BUDGET = 5_000_000  # node cap of the induced-C5 search
 
 _C5 = pattern_graph("c5")
 
@@ -46,7 +47,6 @@ _C5 = pattern_graph("c5")
 @dataclass
 class SolverOptions:
     oracle_fallback: bool = False  # re-solve structurally failed components by brute force
-    node_budget: int | None = 5_000_000  # cap for induced-pattern searches
     seed: int | None = None  # echoed into stats for reproducibility bookkeeping
 
 
@@ -61,7 +61,7 @@ class SolveStats:
     two_sat_budget: int | None = None  # per-component hard cap, when set
     component_vertices: range | tuple = ()  # current component; witnesses when the cap is hit
 
-    def start_component(self, vertices=()):
+    def start_component(self, vertices):
         self.component_branches.append(0)
         self.component_two_sat_calls.append(0)
         self.component_vertices = vertices
@@ -112,7 +112,66 @@ def verify_colouring(g: Graph, colouring, k: int = 3):
     return None
 
 
+def certify(g: Graph, colours, what: str):
+    """Raise ``certificate-invalid`` unless ``colours`` properly 3-colours g."""
+    bad = verify_colouring(g, colours)
+    if bad is not None:
+        wit = [bad[1]] if bad[0] == "range" else list(bad[1])
+        raise PromiseViolation("certificate-invalid", wit,
+                               f"{what} colouring is not proper")
+
+
 # -------------------------------------------------------------------- top level
+
+def colour_components(g: Graph, probes, stats: SolveStats, colour_component,
+                      oracle_fallback: bool):
+    """Colour g one connected component at a time.
+
+    ``colour_component(sub, sub_probes, stats)`` returns a colouring of the
+    component or None when it has no 3-colouring.  Its refusals come back
+    with g's vertex ids; with ``oracle_fallback`` the refused component is
+    re-solved by brute force instead.  Returns the colouring of g as a list,
+    or None at the first component without a 3-colouring.
+    """
+    colours = [0] * g.n
+    for comp in connected_components(g):
+        sub, back = induced_subgraph(g, comp)
+        sub_probes = frozenset(i for i, old in enumerate(back) if old in probes)
+        stats.start_component(range(sub.n))
+        try:
+            res = colour_component(sub, sub_probes, stats)
+        except PromiseViolation as pv:
+            if not oracle_fallback:
+                raise pv.translated(back)
+            res = oracle_k_colourable(sub, 3)
+        if res is None:
+            return None
+        for new, old in enumerate(back):
+            colours[old] = res[new]
+    return colours
+
+
+def run_solver(g: Graph, stats: SolveStats, colour) -> Verdict:
+    """Time ``colour()``, certify its colouring of g and wrap the verdict.
+
+    ``colour()`` returns a colouring of g or None when g has no 3-colouring;
+    a :class:`PromiseViolation` it raises becomes a ``not_probe_p5_free``
+    verdict carrying the diagnostic.
+    """
+    t0 = time.perf_counter()
+    cert, diagnostic = None, None
+    try:
+        colours = colour()
+        if colours is None:
+            status = NOT_COLOURABLE
+        else:
+            certify(g, colours, "assembled")
+            status, cert = COLOURABLE, tuple(colours)
+    except PromiseViolation as pv:
+        status, diagnostic = NOT_PROBE_P5_FREE, pv.diagnostic()
+    stats.time_ms = (time.perf_counter() - t0) * 1000.0
+    return Verdict(status, cert, diagnostic, stats)
+
 
 def solve_3col(inst: ProbeInstance, opts: SolverOptions | None = None) -> Verdict:
     """Decide 3-colourability of a partitioned probe P5-free instance.
@@ -121,47 +180,25 @@ def solve_3col(inst: ProbeInstance, opts: SolverOptions | None = None) -> Verdic
     That one path is enough: a component whose graph is already P5-free is
     probe P5-free under any independent nonprobe set (the empty fill works).
 
-    A failed structural claim becomes a ``not_probe_p5_free`` verdict whose
-    diagnostic names the claim and witnessing vertices of ``inst``.  Among
-    the claims: ``two-sat-budget-exceeded`` when one component needs more
-    than ``COMPONENT_TWO_SAT_BUDGET`` 2-SAT rounds, and
+    Returns one of three verdicts.  A failed structural claim becomes a
+    ``not_probe_p5_free`` verdict whose diagnostic names the claim and
+    witnessing vertices of ``inst``.  Among the claims:
+    ``two-sat-budget-exceeded`` when one component needs more than
+    ``COMPONENT_TWO_SAT_BUDGET`` 2-SAT rounds, and
     ``propagation-left-two-colours`` when an uncoloured vertex of the probe
     component sees two colours after propagation.
+
+    The only exception that escapes is :class:`CapabilityError`: its
+    subclass ``SearchBudgetExceeded`` when the induced-C5 search passes
+    ``C5_SEARCH_NODE_BUDGET`` nodes, or the brute-force cap of
+    ``oracle_k_colourable`` when ``opts.oracle_fallback`` re-solves a
+    refused component of more than 30 vertices.
     """
     opts = opts or SolverOptions()
-    t0 = time.perf_counter()
     stats = SolveStats(seed=opts.seed, two_sat_budget=COMPONENT_TWO_SAT_BUDGET)
-    g = inst.graph
-    colours = [0] * g.n
-    status, diagnostic = COLOURABLE, None
-    try:
-        for comp in connected_components(g):
-            sub, back = induced_subgraph(g, comp)
-            sub_probes = frozenset(i for i, old in enumerate(back) if old in inst.probes)
-            stats.start_component(range(sub.n))
-            try:
-                res = _probe_component_core(sub, sub_probes, stats, opts)
-            except PromiseViolation as sf:
-                if not opts.oracle_fallback:
-                    raise sf.translated(back)
-                res = oracle_k_colourable(sub, 3)
-            if res is None:
-                status = NOT_COLOURABLE
-                break
-            for new, old in enumerate(back):
-                colours[old] = res[new]
-        if status == COLOURABLE:
-            bad = verify_colouring(g, colours)
-            if bad is not None:
-                wit = [bad[1]] if bad[0] == "range" else list(bad[1])
-                raise PromiseViolation(
-                    "certificate-invalid", wit, "assembled colouring is not proper"
-                )
-    except PromiseViolation as sf:
-        status, diagnostic = NOT_PROBE_P5_FREE, sf.diagnostic()
-    stats.time_ms = (time.perf_counter() - t0) * 1000.0
-    cert = tuple(colours) if status == COLOURABLE else None
-    return Verdict(status, cert, diagnostic, stats)
+    return run_solver(inst.graph, stats, lambda: colour_components(
+        inst.graph, inst.probes, stats, _probe_component_core,
+        opts.oracle_fallback))
 
 
 def _proper_assignments(g, verts, base):
@@ -196,13 +233,14 @@ def _proper_assignments(g, verts, base):
             yield {v: assign[v] for v in free}
 
 
-def _try_extend(g, partial, equalities, stats):
+def _try_extend(g, partial, equalities, stats, back=None):
+    """One 2-SAT round; ``back`` maps g's ids to the caller's for a witness."""
     stats.add_two_sat()
     try:
         return extend_by_2list(g, partial, equalities)
     except ListSizeError as e:
         raise PromiseViolation(
-            "open-list-too-long", [e.vertex],
+            "open-list-too-long", [e.vertex if back is None else back[e.vertex]],
             "a vertex kept 3 admissible colours after propagation; "
             "it has no coloured neighbour",
         ) from e
@@ -210,7 +248,7 @@ def _try_extend(g, partial, equalities, stats):
 
 # ------------------------------------------------------------- probe component
 
-def _probe_component_core(g, probes, stats, opts):
+def _probe_component_core(g, probes, stats):
     if find_k4(g) is not None:
         return None
     p_sorted = sorted(probes)
@@ -236,7 +274,7 @@ def _probe_component_core(g, probes, stats, opts):
     kverts = nonbip[0]
     gk, kmap = induced_subgraph(g, kverts)
     try:
-        local_cycle = pick_reference_cycle(gk, node_budget=opts.node_budget)
+        local_cycle = pick_reference_cycle(gk)
     except PromiseViolation as sf:
         raise sf.translated(kmap)
     cycle = tuple(kmap[v] for v in local_cycle)
@@ -259,17 +297,18 @@ def _probe_component_core(g, probes, stats, opts):
     return None
 
 
-def pick_reference_cycle(k_graph: Graph, *, node_budget=None) -> tuple:
+def pick_reference_cycle(k_graph: Graph) -> tuple:
     """Reference cycle of the non-bipartite probe component.
 
     Preference order: lexicographically least induced C5; else the least
     triangle dominating the component; else the least triangle.  A
     non-bipartite component with neither (odd girth 7 or more) cannot be
-    probe P5-free.
+    probe P5-free.  The C5 search gives up past ``C5_SEARCH_NODE_BUDGET``
+    nodes with :class:`SearchBudgetExceeded`.
     """
     if isinstance(bipartition(k_graph), TwoColouring):
         raise ValueError("reference cycle requires a non-bipartite graph")
-    emb = find_induced_subgraph(k_graph, _C5, node_budget=node_budget)
+    emb = find_induced_subgraph(k_graph, _C5, node_budget=C5_SEARCH_NODE_BUDGET)
     if emb is not None:
         return _canonical_cycle(list(emb.image))
     rows = k_graph.bitrows()
@@ -508,7 +547,7 @@ def _case2_attempt(g, decomp, seeded, stats, *, drop_j):
             mapped = tuple(winv[x] for x in nbrs if x in winv)
             if len(mapped) >= 2:
                 equalities.append(EqualityConstraint(mapped, palette))
-    ext = _try_extend(w_graph, res, tuple(equalities), stats)
+    ext = _try_extend(w_graph, res, tuple(equalities), stats, back=wmap)
     if ext is None:
         return None
     full = list(seeded.colours)
@@ -577,9 +616,5 @@ def finalize_extension(g: Graph, decomp: CaseDecomposition,
                 "a deferred nonprobe sees all three colours",
             )
         colours[v] = free[0]
-    bad = verify_colouring(g, colours)
-    if bad is not None:
-        wit = [bad[1]] if bad[0] == "range" else list(bad[1])
-        raise PromiseViolation("certificate-invalid", wit,
-                                "final colouring is not proper")
+    certify(g, colours, "final")
     return tuple(colours)

@@ -4,7 +4,6 @@
 from __future__ import annotations
 
 import itertools
-import time
 
 from .errors import CapabilityError, PromiseViolation
 from .graphs import (
@@ -13,7 +12,6 @@ from .graphs import (
     ProbeInstance,
     TwoColouring,
     bipartition,
-    connected_components,
     find_induced_subgraph,
     find_k4,
     induced_subgraph,
@@ -22,15 +20,14 @@ from .graphs import (
     shortest_odd_cycle,
 )
 from .solver import (
-    COLOURABLE,
-    NOT_COLOURABLE,
-    NOT_PROBE_P5_FREE,
     SolveStats,
     SolverOptions,
     Verdict,
     _proper_assignments,
     _try_extend,
-    verify_colouring,
+    certify,
+    colour_components,
+    run_solver,
 )
 
 _P3 = pattern_graph("p3")
@@ -51,50 +48,41 @@ def colour_trianglefree_probe_p5(inst: ProbeInstance) -> tuple:
     g = inst.graph
     if find_induced_subgraph(g, _C3) is not None:
         raise ValueError("input contains a triangle")
-    colours = [0] * g.n
-    for comp in connected_components(g):
-        sub, back = induced_subgraph(g, comp)
-        sub_probes = sorted(i for i, old in enumerate(back) if old in inst.probes)
-        gp, pmap = induced_subgraph(sub, sub_probes)
-        bp = bipartition(gp)
-        if isinstance(bp, TwoColouring):
-            local = {pmap[i]: bp.colours[i] for i in range(gp.n)}
-            for v in range(sub.n):
-                colours[back[v]] = local.get(v, 3)
-            continue
-        cyc_p = shortest_odd_cycle(gp)
-        if len(cyc_p) != 5:
-            raise PromiseViolation(
-                "long-induced-odd-cycle",
-                [back[pmap[v]] for v in cyc_p],
-                f"triangle-free probe side has odd girth {len(cyc_p)}",
-            )
-        cycle = [pmap[v] for v in cyc_p]
-        pos = {v: i for i, v in enumerate(cycle)}
-        for i, v in enumerate(cycle):
-            colours[back[v]] = _PENTAGON_CYCLE_COLOURS[i]
-        for v in range(sub.n):
-            if v in pos:
-                continue
-            onc = frozenset(pos[w] for w in sub.adj[v] if w in pos)
-            cls = None
-            for i in range(5):
-                if onc == frozenset({i, (i + 2) % 5}):
-                    cls = i
-                    break
-            if cls is None:
-                raise PromiseViolation(
-                    "pentagon-classification-failed", [back[v]],
-                    "a vertex does not attach to the pentagon at exactly "
-                    "two positions of distance two",
-                )
-            colours[back[v]] = _PENTAGON_CLASS_COLOURS[cls]
-    bad = verify_colouring(g, colours)
-    if bad is not None:
-        wit = [bad[1]] if bad[0] == "range" else list(bad[1])
-        raise PromiseViolation("certificate-invalid", wit,
-                               "constructed colouring is not proper")
+    colours = colour_components(g, inst.probes, SolveStats(),
+                                _trianglefree_component, False)
+    certify(g, colours, "constructed")
     return tuple(colours)
+
+
+def _trianglefree_component(g, probes, stats):
+    gp, pmap = induced_subgraph(g, probes)
+    bp = bipartition(gp)
+    if isinstance(bp, TwoColouring):
+        local = {pmap[i]: bp.colours[i] for i in range(gp.n)}
+        return [local.get(v, 3) for v in range(g.n)]
+    cycle = [pmap[v] for v in shortest_odd_cycle(gp)]
+    if len(cycle) != 5:
+        raise PromiseViolation(
+            "long-induced-odd-cycle", cycle,
+            f"triangle-free probe side has odd girth {len(cycle)}",
+        )
+    pos = {v: i for i, v in enumerate(cycle)}
+    colours = [0] * g.n
+    for i, v in enumerate(cycle):
+        colours[v] = _PENTAGON_CYCLE_COLOURS[i]
+    for v in range(g.n):
+        if v in pos:
+            continue
+        onc = frozenset(pos[w] for w in g.adj[v] if w in pos)
+        cls = next((i for i in range(5) if onc == {i, (i + 2) % 5}), None)
+        if cls is None:
+            raise PromiseViolation(
+                "pentagon-classification-failed", [v],
+                "a vertex does not attach to the pentagon at exactly "
+                "two positions of distance two",
+            )
+        colours[v] = _PENTAGON_CLASS_COLOURS[cls]
+    return colours
 
 
 def is_multi_p2_free(g: Graph, s: int) -> bool:
@@ -112,69 +100,37 @@ def solve_3col_p3sp1(inst: ProbeInstance, s: int,
 
     Low-degree nonprobes are deleted up front and re-coloured greedily at
     the end; each remaining component goes through the P3-free split or the
-    bounded D-plus-S branching.
+    bounded D-plus-S branching.  Nonprobes are pairwise non-adjacent, so one
+    pass finds every nonprobe of degree below 3, and all neighbours of a
+    deleted one stay in the solved rest.
     """
     opts = opts or SolverOptions()
-    t0 = time.perf_counter()
     stats = SolveStats(seed=opts.seed)
     g = inst.graph
-    colours = [0] * g.n
-    status, diagnostic = COLOURABLE, None
-    try:
-        deleted = _delete_low_degree_nonprobes(g, inst.nonprobes)
-        alive = [v for v in range(g.n) if v not in set(deleted)]
-        h, hmap = induced_subgraph(g, alive)
+
+    def colour():
+        deleted = [v for v in sorted(inst.nonprobes) if g.degree(v) < 3]
+        gone = frozenset(deleted)
+        h, hmap = induced_subgraph(g, [v for v in range(g.n) if v not in gone])
         h_probes = frozenset(i for i, old in enumerate(hmap) if old in inst.probes)
-        for comp in connected_components(h):
-            sub, back = induced_subgraph(h, comp)
-            sub_probes = frozenset(i for i, old in enumerate(back) if old in h_probes)
-            stats.start_component()
-            try:
-                res = _p3sp1_component(sub, sub_probes, s, stats)
-            except PromiseViolation as pv:
-                raise pv.translated([hmap[b] for b in back])
-            if res is None:
-                status = NOT_COLOURABLE
-                break
-            for new, old in enumerate(back):
-                colours[hmap[old]] = res[new]
-        if status == COLOURABLE:
-            for v in reversed(deleted):
-                seen = {colours[w] for w in g.adj[v] if colours[w]}
-                colours[v] = next(c for c in (1, 2, 3) if c not in seen)
-            bad = verify_colouring(g, colours)
-            if bad is not None:
-                wit = [bad[1]] if bad[0] == "range" else list(bad[1])
-                raise PromiseViolation("certificate-invalid", wit,
-                                       "assembled colouring is not proper")
-    except PromiseViolation as pv:
-        status, diagnostic = NOT_PROBE_P5_FREE, pv.diagnostic()
-    stats.time_ms = (time.perf_counter() - t0) * 1000.0
-    cert = tuple(colours) if status == COLOURABLE else None
-    return Verdict(status, cert, diagnostic, stats)
+        try:
+            rest = colour_components(
+                h, h_probes, stats,
+                lambda sub, sub_probes, st: _p3sp1_component(sub, sub_probes, s, st),
+                opts.oracle_fallback)
+        except PromiseViolation as pv:
+            raise pv.translated(hmap)
+        if rest is None:
+            return None
+        colours = [0] * g.n
+        for new, old in enumerate(hmap):
+            colours[old] = rest[new]
+        for v in deleted:
+            seen = {colours[w] for w in g.adj[v]}
+            colours[v] = next(c for c in (1, 2, 3) if c not in seen)
+        return colours
 
-
-def _delete_low_degree_nonprobes(g, nonprobes):
-    """Nonprobes of degree below 3, in deletion order.
-
-    Nonprobes are pairwise non-adjacent, so removing one never lowers
-    another's degree; the loop still runs to a fixpoint to keep the
-    contract obvious.
-    """
-    deleted = []
-    gone = set()
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(nonprobes):
-            if v in gone:
-                continue
-            deg = sum(1 for w in g.adj[v] if w not in gone)
-            if deg < 3:
-                gone.add(v)
-                deleted.append(v)
-                changed = True
-    return deleted
+    return run_solver(g, stats, colour)
 
 
 def _p3sp1_component(g, probes, s, stats):

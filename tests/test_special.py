@@ -19,6 +19,7 @@ from probe_chroma.solver import (
     COLOURABLE,
     NOT_COLOURABLE,
     NOT_PROBE_P5_FREE,
+    SolverOptions,
     verify_colouring,
 )
 from probe_chroma.special import (
@@ -168,3 +169,18 @@ class TestP3sP1Solver:
     def test_stats_do_not_carry_the_probe_budget(self):
         v = solve_3col_p3sp1(probe_inst(path_graph(4), ()), 1)
         assert v.stats.two_sat_budget is None
+
+    def test_oracle_fallback_rescues_refused_component(self):
+        inst = probe_inst(path_graph(6), ())
+        assert solve_3col_p3sp1(inst, 1).diagnostic["claim"] \
+            == "induced-pattern-among-probes"
+        v = solve_3col_p3sp1(inst, 1, SolverOptions(oracle_fallback=True))
+        assert v.status == COLOURABLE
+        assert verify_colouring(inst.graph, v.colouring) is None
+
+    def test_witnesses_skip_deleted_nonprobes(self):
+        # nonprobe 0 has degree 1 and is deleted before the P6 on 1..6 is
+        # refused; the witnesses must still be ids of the input
+        v = solve_3col_p3sp1(probe_inst(path_graph(7), {0}), 1)
+        assert v.diagnostic["claim"] == "induced-pattern-among-probes"
+        assert set(v.diagnostic["witnesses"]) <= set(range(1, 7))
