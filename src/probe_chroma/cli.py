@@ -5,9 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import sys
-import time
 
 from .errors import CapabilityError, InstanceParseError
 from .generators import (
@@ -200,11 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=("x3c", "precol"))
     p.add_argument("input", nargs="?", help="JSON input file (default stdin)")
 
-    p = sub.add_parser("bench", help="timing sweep over generated instances")
-    p.add_argument("--sizes", default="1000,2000,4000,8000")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--repeats", type=int, default=5)
-
     p = sub.add_parser("solve-p3sp1", help="probe (P3+sP1)-free solver")
     p.add_argument("instance", nargs="?", help="instance file (default stdin)")
     p.add_argument("--s", type=int, required=True)
@@ -220,7 +213,6 @@ def main(argv=None) -> int:
         "gen": _cmd_gen,
         "recognize": _cmd_recognize,
         "reduce": _cmd_reduce,
-        "bench": _cmd_bench,
         "solve-p3sp1": _cmd_solve_p3sp1,
     }[args.command]
     try:
@@ -238,8 +230,7 @@ def main(argv=None) -> int:
 
 def _cmd_solve(args):
     inst = parse_instance(_read_text(args.instance))
-    opts = SolverOptions(oracle_fallback=args.fallback_oracle,
-                         seed=_pick_seed(args))
+    opts = SolverOptions(args.fallback_oracle, _pick_seed(args))
     verdict = solve_3col(inst, opts)
     print(emit_result(verdict))
     return _STATUS_EXIT[verdict.status]
@@ -325,31 +316,6 @@ def _cmd_reduce(args):
         bip, (tuple(payload["side_a"]), tuple(payload["side_b"])),
         marked[0], marked[1], marked[2])
     sys.stdout.write(format_instance(inst, ["target-s 3"]))
-    return 0
-
-
-def _cmd_bench(args):
-    seed = _pick_seed(args)
-    sizes = [int(tok) for tok in args.sizes.split(",") if tok]
-    families = ("path-split", "pentagon", "split-pure", "union")
-    for n in sizes:
-        times = []
-        worst = 0
-        for rep in range(args.repeats):
-            fam = families[rep % len(families)]
-            inst = gen_probe_instance(n, 0.4, (seed, n, rep), family=fam)
-            t0 = time.perf_counter()
-            verdict = solve_3col(inst, SolverOptions(seed=seed))
-            times.append((time.perf_counter() - t0) * 1000.0)
-            per_comp = verdict.stats.component_two_sat_calls
-            worst = max([worst] + per_comp)
-        print(json.dumps({
-            "n": n,
-            "repeats": args.repeats,
-            "median_ms": round(statistics.median(times), 3),
-            "max_ms": round(max(times), 3),
-            "max_component_two_sat_calls": worst,
-        }))
     return 0
 
 

@@ -93,10 +93,6 @@ def build_graph(n: int, edges) -> Graph:
 
 # ---------------------------------------------------------------- constructors
 
-def empty_graph(n: int) -> Graph:
-    return build_graph(n, [])
-
-
 def path_graph(t: int) -> Graph:
     return build_graph(t, [(i, i + 1) for i in range(t - 1)])
 
@@ -285,6 +281,37 @@ def connected_components(g: Graph) -> list:
                     queue.append(w)
         comps.append(tuple(sorted(comp)))
     return comps
+
+
+def two_colour_components(g: Graph, vertices) -> list:
+    """Components of g[vertices], each with its proper 2-colouring.
+
+    Returns ``(component, colours)`` pairs listed by smallest member: the
+    component as a sorted tuple, and ``colours`` aligned with it (colour 1
+    on its smallest member), or None when the component is not bipartite.
+    """
+    inside = frozenset(vertices)
+    colour = {}
+    out = []
+    for s in sorted(inside):
+        if s in colour:
+            continue
+        colour[s] = 1
+        comp = [s]
+        odd = False
+        for v in comp:  # grows while scanned: breadth-first order
+            cv = colour[v]
+            for w in g.adj[v]:
+                if w in inside:
+                    cw = colour.get(w)
+                    if cw is None:
+                        colour[w] = 3 - cv
+                        comp.append(w)
+                    elif cw == cv:
+                        odd = True
+        comp.sort()
+        out.append((tuple(comp), None if odd else tuple(colour[v] for v in comp)))
+    return out
 
 
 @dataclass(frozen=True)

@@ -38,15 +38,18 @@ class ListFormula:
     unsat: bool  # an empty list or contradictory constant arose while building
 
 
-def compute_lists(g: Graph, partial: PartialColouring) -> dict:
-    """Open colour lists of the uncoloured vertices.
+def compute_lists(g: Graph, partial: PartialColouring, skip=frozenset()) -> dict:
+    """Open colour lists of the uncoloured vertices outside ``skip``.
 
-    A list longer than 2 raises :class:`ListSizeError`: the caller's
+    Vertices in ``skip`` are treated as absent and must be uncoloured.  A
+    list longer than 2 raises :class:`ListSizeError`: the caller's
     structural guarantees were violated.
     """
+    if any(partial.colours[v] for v in skip):
+        raise ValueError("skipped vertices must be uncoloured")
     lists = {}
     for v in range(g.n):
-        if partial.colours[v]:
+        if partial.colours[v] or v in skip:
             continue
         seen = {partial.colours[w] for w in g.adj[v] if partial.colours[w]}
         allowed = tuple(c for c in range(1, partial.k + 1) if c not in seen)
@@ -56,8 +59,9 @@ def compute_lists(g: Graph, partial: PartialColouring) -> dict:
     return lists
 
 
-def build_list_formula(g: Graph, partial: PartialColouring, equalities=()) -> ListFormula:
-    lists = compute_lists(g, partial)
+def build_list_formula(g: Graph, partial: PartialColouring, equalities=(),
+                       skip=frozenset()) -> ListFormula:
+    lists = compute_lists(g, partial, skip)
     var_of = {}
     for v in sorted(lists):
         for c in lists[v]:
@@ -85,7 +89,7 @@ def build_list_formula(g: Graph, partial: PartialColouring, equalities=()) -> Li
             clauses.append((var_of[(v, row[0])] + 1, var_of[(v, row[1])] + 1))
 
     for u, v in g.edges:
-        if partial.colours[u] or partial.colours[v]:
+        if u not in lists or v not in lists:
             continue
         for c in lists[u]:
             if (v, c) in var_of:
@@ -190,13 +194,15 @@ def solve_two_sat(num_vars: int, clauses):
     return out
 
 
-def extend_by_2list(g: Graph, partial: PartialColouring, equalities=()):
-    """Complete ``partial`` on all of ``g`` or report impossibility with None.
+def extend_by_2list(g: Graph, partial: PartialColouring, equalities=(),
+                    skip=frozenset()):
+    """Complete ``partial`` on all of ``g`` but ``skip`` (left uncoloured),
+    or report impossibility with None.
 
     Ties between the two allowed truths of a vertex resolve to the smaller
     colour, so the output is deterministic.
     """
-    formula = build_list_formula(g, partial, equalities)
+    formula = build_list_formula(g, partial, equalities, skip)
     if formula.unsat:
         return None
     assignment = solve_two_sat(formula.num_vars, formula.clauses)

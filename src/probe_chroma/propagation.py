@@ -29,20 +29,28 @@ def _seen_colours(g: Graph, colours, v):
     return {colours[w] for w in g.adj[v] if colours[w]}
 
 
-def propagate(g: Graph, start: PartialColouring, *, scan_seed=None):
+def propagate(g: Graph, start: PartialColouring, *, skip=frozenset(),
+              scan_seed=None):
     """Run the forced-colour fixpoint; return the extended colouring or a
     :class:`Conflict`.
 
+    Vertices in ``skip`` are treated as absent: they must be uncoloured in
+    ``start`` and are never queued, coloured or checked for a conflict.
     ``scan_seed`` permutes the initial worklist order; the result never
     depends on it (confluence), the parameter exists so tests can exercise
     that claim.
     """
     k = start.k
     colours = list(start.colours)
-    order = list(range(g.n))
+    if any(colours[v] for v in skip):
+        raise ValueError("skipped vertices must be uncoloured")
+    live = [v for v in range(g.n) if v not in skip]
+    order = list(live)
     if scan_seed is not None:
         random.Random(scan_seed).shuffle(order)
     queue = deque(v for v in order if colours[v] == 0)
+    # a skipped vertex starts marked as queued and is never popped, so it is
+    # never appended either
     queued = [colours[v] == 0 for v in range(g.n)]
     while queue:
         v = queue.popleft()
@@ -57,7 +65,7 @@ def propagate(g: Graph, start: PartialColouring, *, scan_seed=None):
                 if colours[w] == 0 and not queued[w]:
                     queued[w] = True
                     queue.append(w)
-    for v in range(g.n):
+    for v in live:
         if len(_seen_colours(g, colours, v)) == k:
             return Conflict(v)
     return PartialColouring(k, tuple(colours))

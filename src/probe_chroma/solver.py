@@ -29,6 +29,7 @@ from .graphs import (
     iter_bits,
     pattern_graph,
     shortest_odd_cycle,
+    two_colour_components,
 )
 from .listcol import EqualityConstraint, extend_by_2list
 from .oracles import oracle_k_colourable
@@ -233,17 +234,27 @@ def _proper_assignments(g, verts, base):
             yield {v: assign[v] for v in free}
 
 
-def _try_extend(g, partial, equalities, stats, back=None):
-    """One 2-SAT round; ``back`` maps g's ids to the caller's for a witness."""
+def _try_extend(g, partial, equalities, stats, skip=frozenset()):
+    """One 2-SAT round over g with ``skip`` set aside."""
     stats.add_two_sat()
     try:
-        return extend_by_2list(g, partial, equalities)
+        return extend_by_2list(g, partial, equalities, skip)
     except ListSizeError as e:
         raise PromiseViolation(
-            "open-list-too-long", [e.vertex if back is None else back[e.vertex]],
+            "open-list-too-long", [e.vertex],
             "a vertex kept 3 admissible colours after propagation; "
             "it has no coloured neighbour",
         ) from e
+
+
+def colour_bipartite_parts(g, parts):
+    """Colour the bipartite ``parts`` of :func:`two_colour_components` with
+    their 2-colourings and every other vertex of g with colour 3."""
+    colours = [3] * g.n
+    for comp, cols in parts:
+        for v, c in zip(comp, cols):
+            colours[v] = c
+    return colours
 
 
 # ------------------------------------------------------------- probe component
@@ -251,27 +262,13 @@ def _try_extend(g, partial, equalities, stats, back=None):
 def _probe_component_core(g, probes, stats):
     if find_k4(g) is not None:
         return None
-    p_sorted = sorted(probes)
-    gp, pmap = induced_subgraph(g, p_sorted)
-    pcomps = connected_components(gp)
-    nonbip = []
-    twocols = {}
-    for comp in pcomps:
-        sub, smap = induced_subgraph(gp, comp)
-        bp = bipartition(sub)
-        if isinstance(bp, TwoColouring):
-            for i, local in enumerate(smap):
-                twocols[pmap[local]] = bp.colours[i]
-        elif len(comp) >= 2:
-            nonbip.append(tuple(pmap[local] for local in comp))
-    if not nonbip:
-        colours = [0] * g.n
-        for v in range(g.n):
-            colours[v] = twocols.get(v, 3)
-        return tuple(colours)
-    if len(nonbip) >= 2:
+    parts = two_colour_components(g, probes)
+    odd = [comp for comp, cols in parts if cols is None]
+    if not odd:
+        return colour_bipartite_parts(g, parts)
+    if len(odd) >= 2:
         return None
-    kverts = nonbip[0]
+    kverts = odd[0]
     gk, kmap = induced_subgraph(g, kverts)
     try:
         local_cycle = pick_reference_cycle(gk)
@@ -283,10 +280,12 @@ def _probe_component_core(g, probes, stats):
     if any(row & crow == crow for row in g.bitrows()):
         return None
     base = PartialColouring.blank(g.n, 3)
+    outside_k = frozenset(range(g.n)).difference(kverts)
     for assignment in _proper_assignments(g, cycle, base):
         stats.add_branch()
-        psi = _propagate_on_k(g, gk, kmap, assignment)
-        if psi is None:
+        # propagate through the probe component only
+        psi = propagate(g, base.with_colours(assignment), skip=outside_k)
+        if isinstance(psi, Conflict):
             continue
         if len(cycle) == 5:
             out = _run_case1(g, psi, stats)
@@ -334,21 +333,6 @@ def pick_reference_cycle(k_graph: Graph) -> tuple:
         "long-induced-odd-cycle", list(cyc),
         f"shortest odd cycle has length {len(cyc)}; only 3 or 5 can occur",
     )
-
-
-def _propagate_on_k(g, gk, kmap, assignment):
-    """Propagate the cycle colouring through the probe component only."""
-    kinv = {old: new for new, old in enumerate(kmap)}
-    seed = [0] * gk.n
-    for v, c in assignment.items():
-        seed[kinv[v]] = c
-    res = propagate(gk, PartialColouring(3, tuple(seed)))
-    if isinstance(res, Conflict):
-        return None
-    full = [0] * g.n
-    for new, old in enumerate(kmap):
-        full[old] = res.colours[new]
-    return PartialColouring(3, tuple(full))
 
 
 def _run_case1(g, psi, stats):
@@ -433,10 +417,8 @@ def make_case_decomposition(g: Graph, probes, k_vertices, cycle,
     m_c, m_u, m_r = classify(m)
     l_c, l_u, l_r = classify(lverts)
     j = frozenset(v for v in iverts if not (g.adj[v] & m_c))
-    gi, imap = induced_subgraph(g, sorted(iverts))
     j_comps = []
-    for comp in connected_components(gi):
-        verts = tuple(imap[v] for v in comp)
+    for verts, _ in two_colour_components(g, iverts):
         inside = sum(1 for v in verts if v in j)
         if 0 < inside < len(verts):
             raise PromiseViolation(
@@ -525,15 +507,11 @@ def _run_case2(g, probes, kverts, cycle, psi, stats):
 
 
 def _case2_attempt(g, decomp, seeded, stats, *, drop_j):
-    """One propagation + 2-SAT round on the working graph."""
+    """One propagation + 2-SAT round with the deferred vertices set aside."""
     skip = decomp.m_r | frozenset(v for v, _ in decomp.removed_lr)
     if drop_j:
         skip |= decomp.j_vertices
-    keep = [v for v in range(g.n) if v not in skip]
-    w_graph, wmap = induced_subgraph(g, keep)
-    winv = {old: new for new, old in enumerate(wmap)}
-    wseed = PartialColouring(3, tuple(seeded.colours[old] for old in wmap))
-    res = propagate(w_graph, wseed)
+    res = propagate(g, seeded, skip=skip)
     if isinstance(res, Conflict):
         return None
     equalities = []
@@ -544,16 +522,13 @@ def _case2_attempt(g, decomp, seeded, stats, *, drop_j):
             if len(comp) < 2:
                 continue
             nbrs = sorted(set().union(*(g.adj[v] for v in comp)) - set(comp))
-            mapped = tuple(winv[x] for x in nbrs if x in winv)
-            if len(mapped) >= 2:
-                equalities.append(EqualityConstraint(mapped, palette))
-    ext = _try_extend(w_graph, res, tuple(equalities), stats, back=wmap)
+            kept = tuple(x for x in nbrs if x not in skip)
+            if len(kept) >= 2:
+                equalities.append(EqualityConstraint(kept, palette))
+    ext = _try_extend(g, res, tuple(equalities), stats, skip)
     if ext is None:
         return None
-    full = list(seeded.colours)
-    for new, old in enumerate(wmap):
-        full[old] = ext.colours[new]
-    return finalize_extension(g, decomp, PartialColouring(3, tuple(full)))
+    return finalize_extension(g, decomp, ext)
 
 
 def finalize_extension(g: Graph, decomp: CaseDecomposition,
@@ -591,15 +566,14 @@ def finalize_extension(g: Graph, decomp: CaseDecomposition,
             )
         shared = ncols.pop()
         palette = [c for c in (1, 2, 3) if c != shared]
-        sub, smap = induced_subgraph(g, comp)
-        bp = bipartition(sub)
-        if not isinstance(bp, TwoColouring):
+        [(_, cols)] = two_colour_components(g, comp)
+        if cols is None:
             raise PromiseViolation(
                 "odd-probe-attachment", list(comp),
                 "a probe component outside K is not bipartite",
             )
-        for local, old in enumerate(smap):
-            colours[old] = palette[bp.colours[local] - 1]
+        for v, c in zip(comp, cols):
+            colours[v] = palette[c - 1]
     for v, i in decomp.removed_lr:
         if any(colours[w] == i for w in g.adj[v]):
             raise PromiseViolation(

@@ -10,14 +10,13 @@ from .graphs import (
     Graph,
     PartialColouring,
     ProbeInstance,
-    TwoColouring,
-    bipartition,
     find_induced_subgraph,
     find_k4,
     induced_subgraph,
     matching_graph,
     pattern_graph,
     shortest_odd_cycle,
+    two_colour_components,
 )
 from .solver import (
     SolveStats,
@@ -26,6 +25,7 @@ from .solver import (
     _proper_assignments,
     _try_extend,
     certify,
+    colour_bipartite_parts,
     colour_components,
     run_solver,
 )
@@ -55,11 +55,10 @@ def colour_trianglefree_probe_p5(inst: ProbeInstance) -> tuple:
 
 
 def _trianglefree_component(g, probes, stats):
+    parts = two_colour_components(g, probes)
+    if all(cols is not None for _, cols in parts):
+        return colour_bipartite_parts(g, parts)
     gp, pmap = induced_subgraph(g, probes)
-    bp = bipartition(gp)
-    if isinstance(bp, TwoColouring):
-        local = {pmap[i]: bp.colours[i] for i in range(gp.n)}
-        return [local.get(v, 3) for v in range(g.n)]
     cycle = [pmap[v] for v in shortest_odd_cycle(gp)]
     if len(cycle) != 5:
         raise PromiseViolation(
@@ -165,15 +164,10 @@ def _case_p3free(g, probes, nprob, s, stats):
             removed = sset | {
                 x for x in nprob if not any(w in sset for w in g.adj[x])
             }
-            keep = [v for v in range(g.n) if v not in removed]
-            sub, back = induced_subgraph(g, keep)
-            bp = bipartition(sub)
-            if not isinstance(bp, TwoColouring):
-                continue
-            colours = [3] * g.n
-            for i, old in enumerate(back):
-                colours[old] = bp.colours[i]
-            return tuple(colours)
+            parts = two_colour_components(
+                g, [v for v in range(g.n) if v not in removed])
+            if all(cols is not None for _, cols in parts):
+                return colour_bipartite_parts(g, parts)
     return None
 
 

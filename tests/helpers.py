@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from probe_chroma.graphs import Graph, build_graph
+from probe_chroma.graphs import Graph, PartialColouring, build_graph, induced_subgraph
 
 
 def random_graph(n, p, rng):
@@ -151,3 +151,39 @@ def shuffled_permutation(n, rng):
     perm = list(range(n))
     rng.shuffle(perm)
     return perm
+
+
+def skip_cases(count, seed):
+    """Random graphs with a proper partial 3-colouring and a skip set among
+    the uncoloured vertices, drawn from a fixed seed."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 10)
+        g = random_graph(n, rng.uniform(0.15, 0.7), rng)
+        colours = [0] * n
+        for v in rng.sample(range(n), rng.randint(0, n)):
+            free = {1, 2, 3} - {colours[w] for w in g.adj[v]}
+            if free:
+                colours[v] = rng.choice(sorted(free))
+        skip = frozenset(
+            v for v in range(n) if not colours[v] and rng.random() < 0.4)
+        yield g, PartialColouring(3, tuple(colours)), skip
+
+
+def without(g: Graph, partial, skip):
+    """The copy of g without ``skip``, ``partial`` restricted to it and the
+    new-to-old id map."""
+    sub, back = induced_subgraph(g, [v for v in range(g.n) if v not in skip])
+    rest = PartialColouring(partial.k, tuple(partial.colours[v] for v in back))
+    return sub, rest, back
+
+
+def map_back(n, partial, back):
+    """A partial colouring of the copy as one of the n-vertex original;
+    vertices outside the copy stay uncoloured.  None passes through."""
+    if partial is None:
+        return None
+    colours = [0] * n
+    for new, old in enumerate(back):
+        colours[old] = partial.colours[new]
+    return PartialColouring(partial.k, tuple(colours))

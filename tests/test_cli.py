@@ -300,19 +300,6 @@ class TestReduceCommand:
         assert rc == EXIT_INPUT_ERROR
 
 
-class TestBenchCommand:
-    def test_tiny_sweep(self, capsys):
-        rc = main(["bench", "--sizes", "30,60", "--repeats", "2", "--seed", "1"])
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert rc == 0
-        assert len(lines) == 2
-        for line, n in zip(lines, (30, 60)):
-            row = json.loads(line)
-            assert row["n"] == n and row["repeats"] == 2
-            assert row["median_ms"] <= row["max_ms"]
-            assert row["max_component_two_sat_calls"] <= 810
-
-
 class TestSolveP3sp1Command:
     def test_path_instance(self, tmp_path, capsys):
         text = "probe-graph 4\n" + "".join(f"v {i} P\n" for i in range(4)) \

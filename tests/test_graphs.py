@@ -31,6 +31,7 @@ from probe_chroma.graphs import (
     pattern_graph,
     shortest_odd_cycle,
     split_partition,
+    two_colour_components,
     validate_probe_instance,
 )
 
@@ -101,6 +102,34 @@ class TestComponents:
 
     def test_empty_graph_singletons(self):
         assert connected_components(build_graph(3, [])) == [(0,), (1,), (2,)]
+
+
+class TestTwoColourComponents:
+    def test_subset_of_a_path(self):
+        # vertex 2 left out splits the path; the triangle 4-5-6 is odd
+        g = build_graph(7, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (4, 6)])
+        assert two_colour_components(g, [6, 5, 4, 3, 1, 0]) == [
+            ((0, 1), (1, 2)), ((3,), (1,)), ((4, 5, 6), None)]
+
+    def test_empty_subset(self):
+        assert two_colour_components(cycle_graph(5), ()) == []
+
+    def test_agrees_with_copy_and_bipartition(self):
+        rng = random.Random(5)
+        odd = 0
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            g = helpers.random_graph(n, rng.uniform(0.1, 0.6), rng)
+            subset = [v for v in range(n) if rng.random() < 0.7]
+            sub, back = induced_subgraph(g, subset)
+            want = []
+            for comp in connected_components(sub):
+                bp = bipartition(induced_subgraph(sub, comp)[0])
+                cols = bp.colours if isinstance(bp, TwoColouring) else None
+                want.append((tuple(back[v] for v in comp), cols))
+                odd += cols is None
+            assert two_colour_components(g, subset) == want
+        assert odd > 0
 
 
 class TestBipartition:

@@ -173,3 +173,31 @@ class TestExtendAgainstBrute:
         assert (out is not None) == bool(brute)
         if out is not None:
             assert out.colours in brute
+
+
+class TestSkip:
+    def test_matches_the_copy_without_skip(self):
+        outcomes = set()
+        for g, start, skip in helpers.skip_cases(400, 12):
+            sub, sub_start, back = helpers.without(g, start, skip)
+            try:
+                want = helpers.map_back(g.n, extend_by_2list(sub, sub_start), back)
+            except ListSizeError as e:
+                with pytest.raises(ListSizeError) as got:
+                    extend_by_2list(g, start, (), skip)
+                assert got.value.vertex == back[e.vertex]
+                outcomes.add("too-long")
+                continue
+            assert extend_by_2list(g, start, (), skip) == want
+            outcomes.add("none" if want is None else "extended")
+        assert outcomes == {"too-long", "none", "extended"}
+
+    def test_skipped_vertex_seeing_three_colours_stays_blank(self):
+        g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
+        start = PartialColouring(3, (0, 1, 2, 3))
+        assert extend_by_2list(g, start) is None
+        assert extend_by_2list(g, start, (), {0}) == start
+
+    def test_coloured_skip_vertex_rejected(self):
+        with pytest.raises(ValueError):
+            compute_lists(path_graph(3), PartialColouring(3, (0, 2, 0)), {1})

@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, strategies as st
 
 import helpers
@@ -91,3 +92,35 @@ class TestConfluence:
         assert all(conflicts) or not any(conflicts)
         if not conflicts[0]:
             assert all(r == runs[0] for r in runs)
+
+
+class TestSkip:
+    def test_matches_the_copy_without_skip(self):
+        conflicts = 0
+        for g, start, skip in helpers.skip_cases(400, 11):
+            sub, sub_start, back = helpers.without(g, start, skip)
+            want = propagate(sub, sub_start)
+            if isinstance(want, Conflict):
+                want = Conflict(back[want.vertex])
+            else:
+                want = helpers.map_back(g.n, want, back)
+            assert propagate(g, start, skip=skip) == want
+            conflicts += isinstance(want, Conflict)
+        assert 0 < conflicts < 400
+
+    def test_skipped_vertex_seeing_three_colours_is_no_conflict(self):
+        g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
+        start = seeded(g, {1: 1, 2: 2, 3: 3})
+        assert propagate(g, start) == Conflict(0)
+        assert propagate(g, start, skip={0}) == start
+
+    def test_skipped_vertex_is_never_coloured(self):
+        g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
+        start = seeded(g, {0: 1, 1: 2})
+        assert propagate(g, start).colours == (1, 2, 3)
+        assert propagate(g, start, skip={2}) == start
+
+    def test_coloured_skip_vertex_rejected(self):
+        g = path_graph(3)
+        with pytest.raises(ValueError):
+            propagate(g, seeded(g, {1: 2}), skip={1})

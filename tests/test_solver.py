@@ -522,3 +522,42 @@ class TestScaling:
             small.append(self.solve_s(small_inst))
             large.append(self.solve_s(large_inst))
         assert statistics.median(large) / statistics.median(small) < 12
+
+
+class TestNoWorkingCopies:
+    """The solver copies each connected component once, and G[K] once."""
+
+    @staticmethod
+    def count_copies(monkeypatch, inst):
+        from probe_chroma import solver
+        from probe_chroma.graphs import connected_components
+
+        calls = {"induced_subgraph": 0, "_case2_attempt": 0}
+
+        def counted(name):
+            real = getattr(solver, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(solver, name, wrapper)
+
+        counted("induced_subgraph")
+        counted("_case2_attempt")
+        v = solve_3col(inst)
+        assert_colourable(inst, v)
+        return calls, len(connected_components(inst.graph))
+
+    def test_large_path_split(self, monkeypatch):
+        inst = gen_probe_instance(2000, 0.4, 7, family="path-split")
+        calls, comps = self.count_copies(monkeypatch, inst)
+        assert calls["induced_subgraph"] <= 2 * comps
+
+    def test_case_three_with_j_component(self, monkeypatch):
+        edges = [(0, 1), (0, 4), (1, 4), (2, 6), (3, 4), (3, 5), (3, 6),
+                 (5, 6)]
+        inst = validate_probe_instance(
+            build_graph(7, edges), frozenset({0, 1, 4, 5, 6}), frozenset({2, 3}))
+        calls, comps = self.count_copies(monkeypatch, inst)
+        assert calls["_case2_attempt"] >= 1
+        assert calls["induced_subgraph"] <= 2 * comps
