@@ -3,6 +3,11 @@
 Vertices are the integers ``0..n-1``.  Graphs are immutable: build them with
 :func:`build_graph` or one of the small constructors, and derive new graphs
 with :func:`induced_subgraph`, :func:`disjoint_union` or :func:`join`.
+
+Per-vertex tuples are built from lists, not generators: ``tuple(genexpr)``
+resizes a tuple of guessed length, so each one, once freed, adds to CPython's
+per-size tuple free list (up to 2000 a size), which only a full garbage
+collection empties.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ class Graph:
 
     def bitrows(self) -> tuple:
         if self._rows is None:
-            self._rows = tuple(sum(1 << w for w in nbrs) for nbrs in self.adj)
+            self._rows = tuple([sum(1 << w for w in nbrs) for nbrs in self.adj])
         return self._rows
 
     def __eq__(self, other):
@@ -88,7 +93,7 @@ def build_graph(n: int, edges) -> Graph:
     for u, v in sorted_edges:
         nbr[u].add(v)
         nbr[v].add(u)
-    return Graph(n, sorted_edges, tuple(frozenset(s) for s in nbr))
+    return Graph(n, sorted_edges, tuple([frozenset(s) for s in nbr]))
 
 
 # ---------------------------------------------------------------- constructors
@@ -310,7 +315,7 @@ def two_colour_components(g: Graph, vertices) -> list:
                     elif cw == cv:
                         odd = True
         comp.sort()
-        out.append((tuple(comp), None if odd else tuple(colour[v] for v in comp)))
+        out.append((tuple(comp), None if odd else tuple([colour[v] for v in comp])))
     return out
 
 
@@ -429,8 +434,6 @@ def find_k4(g: Graph):
     """Some 4-clique as an ascending tuple, or None."""
     if g.n < 4:
         return None
-    if isinstance(bipartition(g), TwoColouring):
-        return None
     rows = g.bitrows()
     for u, v in g.edges:
         common = rows[u] & rows[v]
@@ -456,39 +459,41 @@ def find_induced_subgraph(host: Graph, pattern: Graph, *, node_budget=None):
         return InducedEmbedding(pattern, host, ())
     if p > host.n:
         return None
-    rows = host.bitrows()
-    mask = (1 << host.n) - 1
     image = [0] * p
-    counter = [0]
-
-    def rec(d, cands):
-        for x in iter_bits(cands[d]):
-            counter[0] += 1
-            if node_budget is not None and counter[0] > node_budget:
-                raise SearchBudgetExceeded(
-                    f"induced-pattern search exceeded {node_budget} nodes"
-                )
-            image[d] = x
-            if d + 1 == p:
-                return True
-            nxt = []
-            dead = False
-            for j in range(d + 1, p):
-                if pattern.has_edge(d, j):
-                    row = cands[j] & rows[x]
-                else:
-                    row = cands[j] & ~(rows[x] | 1 << x)
-                if not row:
-                    dead = True
-                    break
-                nxt.append(row)
-            if not dead and rec(d + 1, cands[: d + 1] + nxt):
-                return True
-        return False
-
-    if rec(0, [mask] * p):
+    mask = (1 << host.n) - 1
+    if _embed_from(host.bitrows(), pattern, image, [mask] * p, [0], node_budget):
         return InducedEmbedding(pattern, host, tuple(image))
     return None
+
+
+def _embed_from(rows, pattern, image, cands, counter, node_budget):
+    """Place pattern vertices d = p - len(cands) to p - 1 into ``image``,
+    vertex j on a host vertex of ``cands[j - d]``; True once all are placed.
+    ``counter[0]`` counts the nodes tried against ``node_budget``."""
+    p = pattern.n
+    d = p - len(cands)
+    for x in iter_bits(cands[0]):
+        counter[0] += 1
+        if node_budget is not None and counter[0] > node_budget:
+            raise SearchBudgetExceeded(
+                f"induced-pattern search exceeded {node_budget} nodes"
+            )
+        image[d] = x
+        if d + 1 == p:
+            return True
+        nxt = []
+        for j, cand in enumerate(cands[1:], d + 1):
+            if pattern.has_edge(d, j):
+                row = cand & rows[x]
+            else:
+                row = cand & ~(rows[x] | 1 << x)
+            if not row:
+                break
+            nxt.append(row)
+        else:
+            if _embed_from(rows, pattern, image, nxt, counter, node_budget):
+                return True
+    return False
 
 
 # ------------------------------------------------------- structure recognisers

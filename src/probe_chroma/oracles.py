@@ -28,29 +28,30 @@ def oracle_k_colourable(g: Graph, k: int, *, order_cap: int = COLOUR_ORACLE_CAP)
         return None if g.n else ()
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     colours = [0] * g.n
+    return tuple(colours) if _colour_from(g, k, order, colours, 0, 0) else None
 
-    def rec(i, hi):
-        if i == len(order):
+
+def _colour_from(g, k, order, colours, i, hi):
+    """Colour ``order[i:]`` in place above the largest used colour ``hi``."""
+    if i == len(order):
+        return True
+    v = order[i]
+    used = {colours[w] for w in g.adj[v] if colours[w]}
+    for c in range(1, min(k, hi + 1) + 1):
+        if c in used:
+            continue
+        colours[v] = c
+        ok = True
+        for w in g.adj[v]:
+            if colours[w] == 0:
+                seen = {colours[x] for x in g.adj[w] if colours[x]}
+                if len(seen) == k:
+                    ok = False
+                    break
+        if ok and _colour_from(g, k, order, colours, i + 1, max(hi, c)):
             return True
-        v = order[i]
-        used = {colours[w] for w in g.adj[v] if colours[w]}
-        for c in range(1, min(k, hi + 1) + 1):
-            if c in used:
-                continue
-            colours[v] = c
-            ok = True
-            for w in g.adj[v]:
-                if colours[w] == 0:
-                    seen = {colours[x] for x in g.adj[w] if colours[x]}
-                    if len(seen) == k:
-                        ok = False
-                        break
-            if ok and rec(i + 1, max(hi, c)):
-                return True
-            colours[v] = 0
-        return False
-
-    return tuple(colours) if rec(0, 0) else None
+        colours[v] = 0
+    return False
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Forced-colour propagation for partial k-colourings.
 
 A vertex that sees k-1 distinct colours on its neighbours has only one
-colour left; assign it and requeue the neighbours.  The rule is monotone and
-confluent, so the fixpoint is independent of the processing order.
+colour left; assign it and requeue the neighbours.  Whether a conflict
+arises never depends on the processing order, and without one neither does
+the fixpoint; with one, the colouring reached and the vertex named may.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from .graphs import Graph, PartialColouring
 class Conflict:
     """Witness that the partial colouring cannot be completed greedily.
 
-    ``vertex`` sees all k colours on its closed neighbourhood; smallest such
-    id after the fixpoint is reached.
+    ``vertex`` sees all k colours on its closed neighbourhood: the smallest
+    such id of the fixpoint this processing order reached, which another
+    order may not reach.
     """
 
     vertex: int
@@ -36,9 +38,8 @@ def propagate(g: Graph, start: PartialColouring, *, skip=frozenset(),
 
     Vertices in ``skip`` are treated as absent: they must be uncoloured in
     ``start`` and are never queued, coloured or checked for a conflict.
-    ``scan_seed`` permutes the initial worklist order; the result never
-    depends on it (confluence), the parameter exists so tests can exercise
-    that claim.
+    ``scan_seed`` permutes the initial worklist order, so that tests can
+    exercise the order claims of the module docstring.
     """
     k = start.k
     colours = list(start.colours)

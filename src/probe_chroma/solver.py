@@ -10,7 +10,6 @@ unconditionally.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -205,33 +204,34 @@ def solve_3col(inst: ProbeInstance, opts: SolverOptions | None = None) -> Verdic
 def _proper_assignments(g, verts, base):
     """Proper 3-colourings of ``verts`` consistent with ``base``.
 
-    Vertices already coloured in ``base`` are kept fixed; free choices that
-    clash with a coloured neighbour are dropped.  Yields free-vertex
-    assignment dicts lexicographically over (position in ``verts``, colour),
-    so the caller's vertex order fixes the branch order.
+    Vertices coloured in ``base`` stay fixed; nothing is yielded when two of
+    them clash.  The free vertices are coloured by backtracking in the order
+    of ``verts``, each trying 1, 2, 3, so the free-vertex assignment dicts
+    come out lexicographically over (position in ``verts``, colour).
     """
-    verts = tuple(verts)
-    fixed = {v: base.colours[v] for v in verts if base.colours[v]}
-    free = [v for v in verts if v not in fixed]
-    nbr_cols = {
-        v: {base.colours[w] for w in g.adj[v] if base.colours[w]} for v in free
-    }
-    for choice in itertools.product((1, 2, 3), repeat=len(free)):
-        assign = dict(fixed)
-        assign.update(zip(free, choice))
-        if any(assign[v] in nbr_cols[v] for v in free):
-            continue
-        ok = True
-        for a in range(len(verts)):
-            for b in range(a + 1, len(verts)):
-                u, w = verts[a], verts[b]
-                if assign[u] == assign[w] and g.has_edge(u, w):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            yield {v: assign[v] for v in free}
+    cols = base.colours
+    fixed = [v for v in verts if cols[v]]
+    if any(cols[v] == cols[w] for v in fixed for w in fixed if w in g.adj[v]):
+        return
+    free = [v for v in verts if not cols[v]]
+    blocked = [{cols[w] for w in g.adj[v]} for v in free]
+    yield from _colour_in_order(g, free, blocked, {})
+
+
+def _colour_in_order(g, free, blocked, assign):
+    """Extend ``assign`` to the next vertex of ``free`` in every colour off its
+    ``blocked`` set and its assigned neighbours; yield each full copy."""
+    i = len(assign)
+    if i == len(free):
+        yield dict(assign)
+        return
+    v = free[i]
+    taken = blocked[i].union(c for u, c in assign.items() if u in g.adj[v])
+    for c in (1, 2, 3):
+        if c not in taken:
+            assign[v] = c
+            yield from _colour_in_order(g, free, blocked, assign)
+            del assign[v]
 
 
 def _try_extend(g, partial, equalities, stats, skip=frozenset()):
@@ -260,13 +260,12 @@ def colour_bipartite_parts(g, parts):
 # ------------------------------------------------------------- probe component
 
 def _probe_component_core(g, probes, stats):
-    if find_k4(g) is not None:
-        return None
     parts = two_colour_components(g, probes)
     odd = [comp for comp, cols in parts if cols is None]
     if not odd:
         return colour_bipartite_parts(g, parts)
-    if len(odd) >= 2:
+    # nonprobes are independent, so a K4 holds a triangle of K
+    if len(odd) >= 2 or find_k4(g) is not None:
         return None
     kverts = odd[0]
     gk, kmap = induced_subgraph(g, kverts)
@@ -327,8 +326,6 @@ def pick_reference_cycle(k_graph: Graph) -> tuple:
     if first_tri is not None:
         return first_tri
     cyc = shortest_odd_cycle(k_graph)
-    if len(cyc) == 5:
-        return cyc
     raise PromiseViolation(
         "long-induced-odd-cycle", list(cyc),
         f"shortest odd cycle has length {len(cyc)}; only 3 or 5 can occur",
@@ -488,14 +485,11 @@ def _run_case2(g, probes, kverts, cycle, psi, stats):
             out = _case2_attempt(g, decomp, seeded, stats, drop_j=False)
         elif len(mu_nonempty) >= 2:
             vstar = min(v for i in mu_nonempty for v in decomp.m_u[i - 1])
-            blocked = {seeded.colours[w] for w in g.adj[vstar] if seeded.colours[w]}
             out = None
-            for c in (1, 2, 3):
-                if c in blocked:
-                    continue
+            for v_assign in _proper_assignments(g, (vstar,), seeded):
                 stats.add_branch()
                 out = _case2_attempt(
-                    g, decomp, seeded.with_colours({vstar: c}), stats, drop_j=False
+                    g, decomp, seeded.with_colours(v_assign), stats, drop_j=False
                 )
                 if out is not None:
                     break

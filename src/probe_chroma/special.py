@@ -137,13 +137,13 @@ def _p3sp1_component(g, probes, s, stats):
     if find_k4(g) is not None:
         return None
     nprob = frozenset(range(g.n)) - frozenset(probes)
-    p_sorted = sorted(probes)
-    gp, pmap = induced_subgraph(g, p_sorted)
-    if find_induced_subgraph(gp, _P3) is None:
+    gp, pmap = induced_subgraph(g, probes)
+    emb = find_induced_subgraph(gp, _P3)
+    if emb is None:
         return _case_p3free(g, probes, nprob, s, stats)
-    if len(probes) <= 4 * s + 1:
-        return _case_small_p(g, gp, pmap, stats)
-    return _case_branching(g, gp, pmap, nprob, s, stats)
+    if len(probes) <= 4 * s + 1:  # small probe side: branch on all of it
+        return _first_extension(g, pmap, stats)
+    return _case_branching(g, [pmap[v] for v in emb.image], pmap, nprob, s, stats)
 
 
 def _case_p3free(g, probes, nprob, s, stats):
@@ -171,10 +171,11 @@ def _case_p3free(g, probes, nprob, s, stats):
     return None
 
 
-def _case_small_p(g, gp, pmap, stats):
-    """|P| small: enumerate proper colourings of the probe side directly."""
+def _first_extension(g, verts, stats):
+    """Branch over the proper colourings of ``verts``; the first one that
+    2-SAT completes to all of g, or None."""
     base = PartialColouring.blank(g.n, 3)
-    for assignment in _proper_assignments(g, pmap, base):
+    for assignment in _proper_assignments(g, verts, base):
         stats.add_branch()
         ext = _try_extend(g, base.with_colours(assignment), (), stats)
         if ext is not None:
@@ -182,10 +183,8 @@ def _case_small_p(g, gp, pmap, stats):
     return None
 
 
-def _case_branching(g, gp, pmap, nprob, s, stats):
-    """P3 core plus independent set D, then bounded probe subsets S."""
-    emb = find_induced_subgraph(gp, _P3)
-    q = [pmap[v] for v in emb.image]
+def _case_branching(g, q, pmap, nprob, s, stats):
+    """P3 core ``q`` plus independent set D, then bounded probe subsets S."""
     closed_q = set(q) | {w for v in q for w in g.adj[v]}
     rest = [v for v in pmap if v not in closed_q]
     i_mis = []
@@ -206,7 +205,6 @@ def _case_branching(g, gp, pmap, nprob, s, stats):
         v for v in sorted(nprob) if not any(w in dset for w in g.adj[v])
     ]
     useful = sorted({w for v in undominated for w in g.adj[v]} - dset)
-    base = PartialColouring.blank(g.n, 3)
     for size in range(min(len(useful), 3 * s) + 1):
         for sel in itertools.combinations(useful, size):
             ds = d + list(sel)
@@ -215,9 +213,7 @@ def _case_branching(g, gp, pmap, nprob, s, stats):
                 not any(w in ds_set for w in g.adj[v]) for v in undominated
             ):
                 continue
-            for assignment in _proper_assignments(g, ds, base):
-                stats.add_branch()
-                ext = _try_extend(g, base.with_colours(assignment), (), stats)
-                if ext is not None:
-                    return ext.colours
+            out = _first_extension(g, ds, stats)
+            if out is not None:
+                return out
     return None

@@ -31,6 +31,27 @@ def brute_extensions(g: Graph, partial, k: int):
             yield tuple(assign)
 
 
+def brute_proper_assignments(g: Graph, verts, base):
+    """Product-and-filter reference for ``solver._proper_assignments``:
+    every tuple in {1,2,3}^free, kept when the free vertices avoid their
+    coloured neighbours and no edge inside ``verts`` is monochromatic."""
+    verts = tuple(verts)
+    fixed = {v: base.colours[v] for v in verts if base.colours[v]}
+    free = [v for v in verts if v not in fixed]
+    nbr_cols = {
+        v: {base.colours[w] for w in g.adj[v] if base.colours[w]} for v in free
+    }
+    for choice in itertools.product((1, 2, 3), repeat=len(free)):
+        assign = dict(fixed)
+        assign.update(zip(free, choice))
+        if any(assign[v] in nbr_cols[v] for v in free):
+            continue
+        if any(assign[u] == assign[w] and g.has_edge(u, w)
+               for u, w in itertools.combinations(verts, 2)):
+            continue
+        yield {v: assign[v] for v in free}
+
+
 def brute_extendable(g: Graph, partial, k: int) -> bool:
     return next(iter(brute_extensions(g, partial, k)), None) is not None
 

@@ -1,3 +1,4 @@
+import gc
 import os
 import random
 import statistics
@@ -16,6 +17,7 @@ from probe_chroma.graphs import (
     build_graph,
     complete_graph,
     cycle_graph,
+    disjoint_union,
     path_graph,
     pattern_graph,
     validate_probe_instance,
@@ -28,6 +30,7 @@ from probe_chroma.solver import (
     NOT_PROBE_P5_FREE,
     CaseDecomposition,
     SolverOptions,
+    _proper_assignments,
     find_dominating_pair,
     finalize_extension,
     make_case_decomposition,
@@ -35,6 +38,7 @@ from probe_chroma.solver import (
     solve_3col,
     verify_colouring,
 )
+from probe_chroma.special import solve_3col_p3sp1
 
 triangle = build_graph(3, [(0, 1), (1, 2), (0, 2)])
 
@@ -561,3 +565,150 @@ class TestNoWorkingCopies:
         calls, comps = self.count_copies(monkeypatch, inst)
         assert calls["_case2_attempt"] >= 1
         assert calls["induced_subgraph"] <= 2 * comps
+
+
+class TestProperAssignments:
+    @staticmethod
+    def random_case(rng):
+        n = rng.randint(1, 9)
+        g = helpers.random_graph(n, rng.uniform(0.1, 0.7), rng)
+        colours = [0] * n
+        for v in rng.sample(range(n), rng.randint(0, n)):
+            if rng.random() < 0.2:  # may clash with a coloured neighbour
+                colours[v] = rng.randint(1, 3)
+                continue
+            free = {1, 2, 3} - {colours[w] for w in g.adj[v]}
+            if free:
+                colours[v] = rng.choice(sorted(free))
+        verts = rng.sample(range(n), rng.randint(0, min(n, 6)))
+        return g, PartialColouring(3, tuple(colours)), tuple(verts)
+
+    def test_matches_product_and_filter(self):
+        rng = random.Random(2024)
+        mixed = nonempty = 0
+        for _ in range(600):
+            g, base, verts = self.random_case(rng)
+            got = list(_proper_assignments(g, verts, base))
+            assert got == list(helpers.brute_proper_assignments(g, verts, base))
+            fixed = sum(1 for v in verts if base.colours[v])
+            mixed += 0 < fixed < len(verts)
+            nonempty += bool(got)
+        assert mixed >= 100 and nonempty >= 200
+
+    def test_clashing_fixed_vertices_yield_nothing(self):
+        g = path_graph(3)
+        base = PartialColouring(3, (2, 2, 0))
+        assert list(_proper_assignments(g, (0, 1, 2), base)) == []
+        assert list(_proper_assignments(g, (2, 1, 0), base)) == []
+
+    def test_order_follows_the_given_vertices(self):
+        base = PartialColouring.blank(3, 3)
+        out = list(_proper_assignments(triangle, (2, 0, 1), base))
+        assert out[0] == {2: 1, 0: 2, 1: 3}
+        assert out[1] == {2: 1, 0: 3, 1: 2}
+        assert len(out) == 6
+
+
+class TestK4TestPlacement:
+    """The K4 test runs only on a component with one odd probe component:
+    nonprobes are independent, so a K4 holds a probe triangle."""
+
+    @staticmethod
+    def count_k4_calls(monkeypatch, inst):
+        from probe_chroma import solver
+
+        calls = []
+        real = solver.find_k4
+
+        def counted(g):
+            calls.append(g)
+            return real(g)
+        monkeypatch.setattr(solver, "find_k4", counted)
+        return solve_3col(inst), len(calls)
+
+    def test_large_path_split(self, monkeypatch):
+        inst = gen_probe_instance(2000, 0.4, 7, family="path-split")
+        v, calls = self.count_k4_calls(monkeypatch, inst)
+        assert_colourable(inst, v)
+        assert calls == 0
+
+    def test_bipartite_probe_pieces(self, monkeypatch):
+        # a triangle through a nonprobe, the wheel over C4 with a nonprobe
+        # hub, and an all-probe C6: triangles, but no odd probe component
+        tri = build_graph(3, [(0, 1), (1, 2), (0, 2)])
+        wheel = build_graph(5, [(0, 1), (1, 2), (2, 3), (0, 3)]
+                            + [(i, 4) for i in range(4)])
+        g = disjoint_union([tri, wheel, cycle_graph(6)])
+        inst = validate_probe_instance(
+            g, frozenset(range(g.n)) - {2, 7}, frozenset({2, 7}))
+        v, calls = self.count_k4_calls(monkeypatch, inst)
+        assert_colourable(inst, v)
+        assert calls == 0
+
+    def test_one_odd_probe_component(self, monkeypatch):
+        # K4 of probes plus a pendant nonprobe: one odd probe component
+        g = build_graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                            (3, 4)])
+        inst = validate_probe_instance(g, frozenset(range(4)), frozenset({4}))
+        v, calls = self.count_k4_calls(monkeypatch, inst)
+        assert v.status == NOT_COLOURABLE
+        assert calls == 1
+
+    def test_k4_beside_a_second_odd_probe_component(self, monkeypatch):
+        # probe K4 on 0..3 and probe triangle 4-5-6, joined by nonprobe 7
+        edges = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+        edges += [(4, 5), (5, 6), (4, 6), (0, 7), (4, 7)]
+        inst = validate_probe_instance(
+            build_graph(8, edges), frozenset(range(7)), frozenset({7}))
+        v, calls = self.count_k4_calls(monkeypatch, inst)
+        assert v.status == NOT_COLOURABLE
+        assert calls == 0
+
+
+def _j_component_instance():
+    edges = [(0, 1), (0, 4), (1, 4), (2, 6), (3, 4), (3, 5), (3, 6), (5, 6)]
+    return validate_probe_instance(
+        build_graph(7, edges), frozenset({0, 1, 4, 5, 6}), frozenset({2, 3}))
+
+
+def _unfillable_instance():
+    edges = [(0, 1), (1, 2), (0, 2), (3, 4), (5, 3), (5, 0), (6, 4), (6, 1)]
+    return validate_probe_instance(
+        build_graph(7, edges), frozenset(range(5)), frozenset({5, 6}))
+
+
+def _probe_side(g, nonprobes):
+    nset = frozenset(nonprobes)
+    return validate_probe_instance(g, frozenset(range(g.n)) - nset, nset)
+
+
+class TestNoCyclicGarbage:
+    """A solve frees what it allocates by reference counting alone; a
+    reference cycle would keep graphs and bitrows alive until the cyclic
+    collector runs."""
+
+    CASES = {
+        "c5": (lambda: solve_3col(all_probe(cycle_graph(5))), COLOURABLE),
+        "c3-j": (lambda: solve_3col(_j_component_instance()), COLOURABLE),
+        "refusal-c7": (lambda: solve_3col(all_probe(cycle_graph(7))),
+                       NOT_PROBE_P5_FREE),
+        "refusal-open-list": (lambda: solve_3col(_unfillable_instance()),
+                              NOT_PROBE_P5_FREE),
+        "p3sp1-small-p": (lambda: solve_3col_p3sp1(
+            _probe_side(path_graph(4), ()), 1), COLOURABLE),
+        "p3sp1-branching": (lambda: solve_3col_p3sp1(_probe_side(build_graph(
+            7, [(0, 1), (1, 2), (1, 3), (1, 4), (1, 5), (6, 3), (6, 0),
+                (6, 5)]), {6}), 1), COLOURABLE),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_solve_leaves_no_cyclic_garbage(self, case):
+        solve, status = self.CASES[case]
+        gc.collect()
+        gc.disable()
+        try:
+            verdict = solve()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert verdict.status == status
