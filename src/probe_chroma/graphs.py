@@ -225,9 +225,6 @@ class PartialColouring:
     def blank(cls, n: int, k: int) -> "PartialColouring":
         return cls(k, (0,) * n)
 
-    def colour_of(self, v: int) -> int:
-        return self.colours[v]
-
     def with_colours(self, assignment: dict) -> "PartialColouring":
         col = list(self.colours)
         for v, c in assignment.items():
@@ -236,13 +233,6 @@ class PartialColouring:
 
     def uncoloured(self):
         return [v for v, c in enumerate(self.colours) if c == 0]
-
-    def is_proper_on(self, g: Graph) -> bool:
-        for u, v in g.edges:
-            cu, cv = self.colours[u], self.colours[v]
-            if cu and cu == cv:
-                return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -319,58 +309,15 @@ def two_colour_components(g: Graph, vertices) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class TwoColouring:
-    colours: tuple  # entries 1 or 2
-
-
-@dataclass(frozen=True)
-class OddClosedWalk:
-    walk: tuple  # closed: first vertex repeated last, odd number of edges
-
-
-def bipartition(g: Graph):
-    """Proper 2-colouring, or an odd closed walk if none exists."""
-    colour = [0] * g.n
-    parent = [-1] * g.n
-    for s in range(g.n):
-        if colour[s]:
-            continue
-        colour[s] = 1
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for w in g.adj[v]:
-                if colour[w] == 0:
-                    colour[w] = 3 - colour[v]
-                    parent[w] = v
-                    queue.append(w)
-                elif colour[w] == colour[v]:
-                    return OddClosedWalk(_odd_walk(parent, v, w))
-    return TwoColouring(tuple(colour))
-
-
-def _odd_walk(parent, u, v):
-    up, vp = [u], [v]
-    au, av = u, v
-    seen_u = {u: 0}
-    while parent[au] != -1:
-        au = parent[au]
-        seen_u[au] = len(up)
-        up.append(au)
-    while av not in seen_u:
-        av = parent[av]
-        vp.append(av)
-    cut = seen_u[av]
-    up = up[: cut + 1]
-    return tuple(reversed(up)) + tuple(vp[:-1]) + (up[cut],)
-
-
 def shortest_odd_cycle(g: Graph):
-    """Lexicographically canonical shortest odd cycle, or None if bipartite.
+    """A shortest odd cycle, or None if bipartite.
 
     Breadth-first layering from every vertex; the output is chordless because
-    a chord would split the cycle into a strictly shorter odd one.
+    a chord would split the cycle into a strictly shorter odd one.  Only its
+    rotation and orientation are canonical: it starts at its least vertex,
+    and its second vertex is below its last.  Which of several equally short
+    cycles comes back follows the iteration order of the adjacency sets, so
+    a relabelled copy of g can yield a different one.
     """
     best_len = None
     best = None
@@ -445,22 +392,28 @@ def find_k4(g: Graph):
     return None
 
 
-def find_induced_subgraph(host: Graph, pattern: Graph, *, node_budget=None):
+def find_induced_subgraph(host: Graph, pattern: Graph, *, within=None,
+                          node_budget=None):
     """First induced copy of ``pattern`` in ``host`` in lexicographic image
     order, or None.
 
-    Backtracking over pattern vertices in id order with bitset forward
-    checking; exceeding ``node_budget`` raises :class:`SearchBudgetExceeded`.
+    With a vertex set ``within`` the copy is sought in ``host[within]``, in
+    host ids and without building that subgraph.  Backtracking over pattern
+    vertices in id order with bitset forward checking; exceeding
+    ``node_budget`` raises :class:`SearchBudgetExceeded`.
     """
     p = pattern.n
     if p > PATTERN_ORDER_CAP:
         raise CapabilityError(f"pattern order {p} exceeds the cap {PATTERN_ORDER_CAP}")
     if p == 0:
         return InducedEmbedding(pattern, host, ())
-    if p > host.n:
+    if within is None:
+        mask = (1 << host.n) - 1
+    else:
+        mask = sum(1 << v for v in set(within))
+    if p > mask.bit_count():
         return None
     image = [0] * p
-    mask = (1 << host.n) - 1
     if _embed_from(host.bitrows(), pattern, image, [mask] * p, [0], node_budget):
         return InducedEmbedding(pattern, host, tuple(image))
     return None
@@ -494,37 +447,3 @@ def _embed_from(rows, pattern, image, cands, counter, node_budget):
             if _embed_from(rows, pattern, image, nxt, counter, node_budget):
                 return True
     return False
-
-
-# ------------------------------------------------------- structure recognisers
-
-def split_partition(g: Graph):
-    """(clique, independent) vertex tuples if g is a split graph, else None.
-
-    Degree-sequence test (sum over the top q degrees equals q(q-1) plus the
-    rest), then an explicit check of both sides.
-    """
-    n = g.n
-    if n == 0:
-        return (), ()
-    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    degs = [g.degree(v) for v in order]
-    q = 0
-    for i in range(n):
-        if degs[i] >= i:
-            q = i + 1
-    if sum(degs[:q]) != q * (q - 1) + sum(degs[q:]):
-        return None
-    clique = order[:q]
-    indep = order[q:]
-    rows = g.bitrows()
-    cl_row = sum(1 << c for c in clique)
-    for c in clique:
-        want = cl_row ^ 1 << c
-        if rows[c] & want != want:
-            return None
-    indep_set = set(indep)
-    for u, v in g.edges:
-        if u in indep_set and v in indep_set:
-            return None
-    return tuple(sorted(clique)), tuple(sorted(indep))

@@ -18,9 +18,7 @@ from .graphs import (
     Graph,
     PartialColouring,
     ProbeInstance,
-    TwoColouring,
     _canonical_cycle,
-    bipartition,
     connected_components,
     find_induced_subgraph,
     find_k4,
@@ -268,12 +266,7 @@ def _probe_component_core(g, probes, stats):
     if len(odd) >= 2 or find_k4(g) is not None:
         return None
     kverts = odd[0]
-    gk, kmap = induced_subgraph(g, kverts)
-    try:
-        local_cycle = pick_reference_cycle(gk)
-    except PromiseViolation as sf:
-        raise sf.translated(kmap)
-    cycle = tuple(kmap[v] for v in local_cycle)
+    cycle = pick_reference_cycle(g, kverts)
     # a row never holds its own bit, so only vertices off the cycle can match
     crow = sum(1 << v for v in cycle)
     if any(row & crow == crow for row in g.bitrows()):
@@ -295,39 +288,43 @@ def _probe_component_core(g, probes, stats):
     return None
 
 
-def pick_reference_cycle(k_graph: Graph) -> tuple:
-    """Reference cycle of the non-bipartite probe component.
+def pick_reference_cycle(g: Graph, kverts) -> tuple:
+    """Reference cycle of the non-bipartite probe component ``kverts`` of g.
 
-    Preference order: lexicographically least induced C5; else the least
-    triangle dominating the component; else the least triangle.  A
-    non-bipartite component with neither (odd girth 7 or more) cannot be
-    probe P5-free.  The C5 search gives up past ``C5_SEARCH_NODE_BUDGET``
-    nodes with :class:`SearchBudgetExceeded`.
+    Searched in g under the vertex mask of ``kverts``.  Preference order:
+    lexicographically least induced C5; else the least triangle dominating
+    the component; else the least triangle.  A non-bipartite component with
+    neither (odd girth 7 or more) cannot be probe P5-free; its witness is
+    the shortest odd cycle of the copy G[K], because
+    :func:`shortest_odd_cycle` breaks ties by adjacency-set order, which
+    the ids of g can change.  A bipartite ``kverts`` raises ValueError.  The C5 search gives up past
+    ``C5_SEARCH_NODE_BUDGET`` nodes with :class:`SearchBudgetExceeded`.
     """
-    if isinstance(bipartition(k_graph), TwoColouring):
-        raise ValueError("reference cycle requires a non-bipartite graph")
-    emb = find_induced_subgraph(k_graph, _C5, node_budget=C5_SEARCH_NODE_BUDGET)
+    emb = find_induced_subgraph(g, _C5, within=kverts,
+                                node_budget=C5_SEARCH_NODE_BUDGET)
     if emb is not None:
         return _canonical_cycle(list(emb.image))
-    rows = k_graph.bitrows()
-    full = (1 << k_graph.n) - 1
+    rows = g.bitrows()
+    kmask = sum(1 << v for v in set(kverts))
     first_tri = None
-    for u, v in k_graph.edges:
-        common = rows[u] & rows[v]
-        for w in iter_bits(common):
-            if w <= v:
-                continue
-            tri = (u, v, w)
-            if first_tri is None:
-                first_tri = tri
-            cover = rows[u] | rows[v] | rows[w] | 1 << u | 1 << v | 1 << w
-            if cover == full:
-                return tri
+    for u in iter_bits(kmask):
+        ku = rows[u] & kmask
+        for v in iter_bits(ku & (-1 << (u + 1))):
+            for w in iter_bits(ku & rows[v] & (-1 << (v + 1))):
+                tri = (u, v, w)
+                if first_tri is None:
+                    first_tri = tri
+                cover = rows[u] | rows[v] | rows[w] | 1 << u | 1 << v | 1 << w
+                if cover & kmask == kmask:
+                    return tri
     if first_tri is not None:
         return first_tri
-    cyc = shortest_odd_cycle(k_graph)
+    gk, kmap = induced_subgraph(g, kverts)
+    cyc = shortest_odd_cycle(gk)
+    if cyc is None:
+        raise ValueError("reference cycle requires a non-bipartite graph")
     raise PromiseViolation(
-        "long-induced-odd-cycle", list(cyc),
+        "long-induced-odd-cycle", [kmap[v] for v in cyc],
         f"shortest odd cycle has length {len(cyc)}; only 3 or 5 can occur",
     )
 

@@ -137,13 +137,13 @@ def _p3sp1_component(g, probes, s, stats):
     if find_k4(g) is not None:
         return None
     nprob = frozenset(range(g.n)) - frozenset(probes)
-    gp, pmap = induced_subgraph(g, probes)
-    emb = find_induced_subgraph(gp, _P3)
+    emb = find_induced_subgraph(g, _P3, within=probes)
     if emb is None:
         return _case_p3free(g, probes, nprob, s, stats)
-    if len(probes) <= 4 * s + 1:  # small probe side: branch on all of it
-        return _first_extension(g, pmap, stats)
-    return _case_branching(g, [pmap[v] for v in emb.image], pmap, nprob, s, stats)
+    pverts = sorted(probes)
+    if len(pverts) <= 4 * s + 1:  # small probe side: branch on all of it
+        return _first_extension(g, pverts, stats)
+    return _case_branching(g, list(emb.image), pverts, nprob, s, stats)
 
 
 def _case_p3free(g, probes, nprob, s, stats):
@@ -183,10 +183,11 @@ def _first_extension(g, verts, stats):
     return None
 
 
-def _case_branching(g, q, pmap, nprob, s, stats):
-    """P3 core ``q`` plus independent set D, then bounded probe subsets S."""
+def _case_branching(g, q, pverts, nprob, s, stats):
+    """P3 core ``q`` plus independent set D, then bounded probe subsets S;
+    ``pverts`` lists the probes in ascending order."""
     closed_q = set(q) | {w for v in q for w in g.adj[v]}
-    rest = [v for v in pmap if v not in closed_q]
+    rest = [v for v in pverts if v not in closed_q]
     i_mis = []
     taken = set()
     for v in rest:

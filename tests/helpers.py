@@ -52,6 +52,38 @@ def brute_proper_assignments(g: Graph, verts, base):
         yield {v: assign[v] for v in free}
 
 
+def is_proper_on(g: Graph, partial) -> bool:
+    """True when no edge of g joins two vertices of one colour in
+    ``partial``; uncoloured (0) vertices never clash."""
+    cols = partial.colours
+    return not any(cols[u] and cols[u] == cols[v] for u, v in g.edges)
+
+
+def split_partition(g: Graph):
+    """(clique, independent) vertex tuples if g is a split graph, else None.
+
+    Degree-sequence test (sum over the top q degrees equals q(q-1) plus the
+    rest), then an explicit check of both sides.
+    """
+    n = g.n
+    if n == 0:
+        return (), ()
+    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
+    degs = [g.degree(v) for v in order]
+    q = 0
+    for i in range(n):
+        if degs[i] >= i:
+            q = i + 1
+    if sum(degs[:q]) != q * (q - 1) + sum(degs[q:]):
+        return None
+    clique, indep = order[:q], order[q:]
+    if any(not g.has_edge(a, b) for a, b in itertools.combinations(clique, 2)):
+        return None
+    if any(g.has_edge(a, b) for a, b in itertools.combinations(indep, 2)):
+        return None
+    return tuple(sorted(clique)), tuple(sorted(indep))
+
+
 def brute_extendable(g: Graph, partial, k: int) -> bool:
     return next(iter(brute_extensions(g, partial, k)), None) is not None
 

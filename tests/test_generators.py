@@ -22,7 +22,6 @@ from probe_chroma.graphs import (
     find_k4,
     induced_subgraph,
     pattern_graph,
-    split_partition,
 )
 from probe_chroma.oracles import (
     CompletionCertificate,
@@ -170,7 +169,7 @@ class TestSplitPureFamily:
     def test_split_no_k4_dominated(self, seed):
         inst = gen_probe_instance(15, 0.6, seed, family="split-pure")
         g = inst.graph
-        assert split_partition(g) is not None
+        assert helpers.split_partition(g) is not None
         assert find_k4(g) is None
         assert g.adj[0] == frozenset(range(1, 15))
         assert inst.meta["fill"] == ()

@@ -14,10 +14,7 @@ from probe_chroma.errors import (
 from probe_chroma.graphs import (
     Graph,
     InducedEmbedding,
-    OddClosedWalk,
     PartialColouring,
-    TwoColouring,
-    bipartition,
     build_graph,
     complete_graph,
     connected_components,
@@ -30,7 +27,6 @@ from probe_chroma.graphs import (
     path_graph,
     pattern_graph,
     shortest_odd_cycle,
-    split_partition,
     two_colour_components,
     validate_probe_instance,
 )
@@ -124,45 +120,14 @@ class TestTwoColourComponents:
             sub, back = induced_subgraph(g, subset)
             want = []
             for comp in connected_components(sub):
-                bp = bipartition(induced_subgraph(sub, comp)[0])
-                cols = bp.colours if isinstance(bp, TwoColouring) else None
+                # the first proper 2-colouring puts colour 1 on the smallest
+                # member, as two_colour_components does
+                h = induced_subgraph(sub, comp)[0]
+                cols = next(helpers.brute_colourings(h, 2), None)
                 want.append((tuple(back[v] for v in comp), cols))
                 odd += cols is None
             assert two_colour_components(g, subset) == want
         assert odd > 0
-
-
-class TestBipartition:
-    def test_even_cycle(self):
-        out = bipartition(cycle_graph(4))
-        assert isinstance(out, TwoColouring)
-        assert out.colours == (1, 2, 1, 2)
-
-    def test_odd_cycle_certificate(self):
-        out = bipartition(cycle_graph(5))
-        assert isinstance(out, OddClosedWalk)
-        walk = out.walk
-        assert walk[0] == walk[-1]
-        assert (len(walk) - 1) % 2 == 1
-
-    def test_single_vertex(self):
-        out = bipartition(build_graph(1, []))
-        assert isinstance(out, TwoColouring)
-
-    @given(graphs_st)
-    def test_matches_odd_cycle_search(self, g):
-        out = bipartition(g)
-        cyc = shortest_odd_cycle(g)
-        if isinstance(out, TwoColouring):
-            assert cyc is None
-            assert all(out.colours[u] != out.colours[v] for u, v in g.edges)
-        else:
-            assert cyc is not None
-            walk = out.walk
-            assert walk[0] == walk[-1] and (len(walk) - 1) % 2 == 1
-            assert all(
-                g.has_edge(walk[i], walk[i + 1]) for i in range(len(walk) - 1)
-            )
 
 
 class TestShortestOddCycle:
@@ -214,6 +179,34 @@ class TestFindInduced:
     def test_embedding_validates(self):
         with pytest.raises(ValueError):
             InducedEmbedding(path_graph(2), path_graph(3), (0, 2))
+
+    def test_within_matches_search_of_the_copy(self):
+        rng = random.Random(8)
+        hits = 0
+        for _ in range(400):
+            n = rng.randint(1, 12)
+            g = helpers.random_graph(n, rng.uniform(0.1, 0.7), rng)
+            subset = [v for v in range(n) if rng.random() < 0.75]
+            sub, back = induced_subgraph(g, subset)
+            for name in ("c5", "p3", "p5"):
+                pat = pattern_graph(name)
+                emb = find_induced_subgraph(g, pat, within=subset)
+                want = find_induced_subgraph(sub, pat)
+                if want is None:
+                    assert emb is None
+                    continue
+                hits += 1
+                assert emb.host is g
+                assert emb.image == tuple(back[v] for v in want.image)
+        assert hits > 100
+
+    def test_within_ignores_vertices_outside(self):
+        # the only induced P3 of the path 0-1-2 runs through vertex 1
+        assert find_induced_subgraph(path_graph(3), path_graph(3),
+                                     within=(0, 2)) is None
+        emb = find_induced_subgraph(cycle_graph(6), path_graph(3),
+                                    within=range(2, 6))
+        assert emb.image == (2, 3, 4)
 
     @given(graphs_st, st.sampled_from(["p4", "p5", "c5", "2p2", "p3+1p1"]))
     def test_matches_exhaustive_scan(self, g, name):
@@ -298,12 +291,12 @@ class TestInducedSubgraph:
 
 class TestSplitPartition:
     def test_cycles_are_not_split(self):
-        assert split_partition(cycle_graph(4)) is None
-        assert split_partition(cycle_graph(5)) is None
+        assert helpers.split_partition(cycle_graph(4)) is None
+        assert helpers.split_partition(cycle_graph(5)) is None
 
     def test_split_graph(self):
         g = build_graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4)])
-        out = split_partition(g)
+        out = helpers.split_partition(g)
         assert out is not None
         clique, indep = out
         assert all(
@@ -332,7 +325,7 @@ class TestSplitPartition:
                         return True
             return False
 
-        assert (split_partition(g) is not None) == brute_is_split()
+        assert (helpers.split_partition(g) is not None) == brute_is_split()
 
 
 class TestPartialColouring:
@@ -340,6 +333,6 @@ class TestPartialColouring:
         g = path_graph(3)
         base = PartialColouring.blank(3, 3)
         pc = base.with_colours({0: 1, 1: 2})
-        assert pc.colour_of(0) == 1 and pc.uncoloured() == [2]
-        assert pc.is_proper_on(g)
-        assert not base.with_colours({0: 1, 1: 1}).is_proper_on(g)
+        assert pc.colours[0] == 1 and pc.uncoloured() == [2]
+        assert helpers.is_proper_on(g, pc)
+        assert not helpers.is_proper_on(g, base.with_colours({0: 1, 1: 1}))

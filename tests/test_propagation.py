@@ -69,7 +69,7 @@ class TestSoundness:
         g, start = case
         out = propagate(g, start)
         if not isinstance(out, Conflict):
-            assert out.is_proper_on(g)
+            assert helpers.is_proper_on(g, out)
 
     @given(proper_seeds)
     def test_monotone_and_idempotent(self, case):

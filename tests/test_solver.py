@@ -1,3 +1,4 @@
+import collections
 import gc
 import os
 import random
@@ -18,6 +19,7 @@ from probe_chroma.graphs import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    induced_subgraph,
     path_graph,
     pattern_graph,
     validate_probe_instance,
@@ -177,34 +179,89 @@ class TestP5FreeSolver:
 
 class TestReferenceCycle:
     def test_five_cycle_is_its_own_reference(self):
-        assert pick_reference_cycle(cycle_graph(5)) == (0, 1, 2, 3, 4)
+        g = cycle_graph(5)
+        assert pick_reference_cycle(g, range(g.n)) == (0, 1, 2, 3, 4)
 
     def test_induced_c5_beats_triangle(self):
         edges = [(i, (i + 1) % 5) for i in range(5)] + [(0, 5), (1, 5)]
-        assert pick_reference_cycle(build_graph(6, edges)) == (0, 1, 2, 3, 4)
+        g = build_graph(6, edges)
+        assert pick_reference_cycle(g, range(g.n)) == (0, 1, 2, 3, 4)
 
     def test_dominating_triangle(self):
         g = build_graph(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
-        assert pick_reference_cycle(g) == (0, 1, 2)
+        assert pick_reference_cycle(g, range(g.n)) == (0, 1, 2)
 
     def test_non_dominating_triangle_still_picked(self):
         g = build_graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4)])
-        assert pick_reference_cycle(g) == (0, 1, 2)
+        assert pick_reference_cycle(g, range(g.n)) == (0, 1, 2)
 
     def test_dominating_triangle_preferred_over_lex_least(self):
         # (0,1,2) misses vertex 5; (1,2,4) reaches everything
         edges = [(0, 1), (1, 2), (0, 2), (1, 4), (2, 4), (4, 5), (1, 3)]
-        assert pick_reference_cycle(build_graph(6, edges)) == (1, 2, 4)
+        g = build_graph(6, edges)
+        assert pick_reference_cycle(g, range(g.n)) == (1, 2, 4)
 
     def test_bipartite_rejected(self):
+        g = cycle_graph(6)
         with pytest.raises(ValueError):
-            pick_reference_cycle(cycle_graph(6))
+            pick_reference_cycle(g, range(g.n))
 
     def test_long_odd_girth_breaks_promise(self):
+        g = cycle_graph(9)
         with pytest.raises(PromiseViolation) as e:
-            pick_reference_cycle(cycle_graph(9))
+            pick_reference_cycle(g, range(g.n))
         assert e.value.claim == "long-induced-odd-cycle"
         assert len(e.value.witnesses) == 9
+
+    def test_triangle_through_a_vertex_outside_k_is_ignored(self):
+        # (0,1,2) dominates g, but vertex 0 lies outside K
+        edges = [(0, 1), (0, 2), (0, 5), (1, 2), (2, 3), (2, 4), (3, 4), (4, 5)]
+        g = build_graph(6, edges)
+        assert pick_reference_cycle(g, range(g.n)) == (0, 1, 2)
+        assert pick_reference_cycle(g, (1, 2, 3, 4, 5)) == (2, 3, 4)
+
+    def test_domination_is_measured_inside_k(self):
+        # (1,2,4) dominates K = 0..5 but misses vertex 6; no triangle
+        # dominates g, so over all of g the least triangle wins
+        edges = [(0, 1), (1, 2), (0, 2), (1, 4), (2, 4), (4, 5), (1, 3), (0, 6)]
+        g = build_graph(7, edges)
+        assert pick_reference_cycle(g, range(6)) == (1, 2, 4)
+        assert pick_reference_cycle(g, range(g.n)) == (0, 1, 2)
+
+    @staticmethod
+    def outcome(g, kverts, back):
+        """The reference cycle, or the refusal, with ids mapped by back."""
+        try:
+            return tuple(back[v] for v in pick_reference_cycle(g, kverts))
+        except ValueError:
+            return "bipartite"
+        except PromiseViolation as pv:
+            return pv.claim, tuple(back[v] for v in pv.witnesses)
+
+    def test_mask_matches_search_of_the_copy(self):
+        rng = random.Random(3)
+        seen = collections.Counter()
+        for _ in range(600):
+            n = rng.randint(3, 12)
+            if rng.random() < 0.3:  # plant a long odd cycle inside K
+                k = rng.choice([c for c in (7, 9, 11) if c <= n] or [3])
+                order = rng.sample(range(n), n)
+                edges = {tuple(sorted((order[i], order[(i + 1) % k])))
+                         for i in range(k)}
+                edges |= {(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < 0.04}
+                g = build_graph(n, edges)
+                kverts = sorted(order[:k] + [v for v in order[k:]
+                                             if rng.random() < 0.5])
+            else:
+                g = helpers.random_graph(n, rng.uniform(0.1, 0.6), rng)
+                kverts = [v for v in range(n) if rng.random() < 0.75]
+            sub, back = induced_subgraph(g, kverts)
+            got = self.outcome(g, kverts, range(n))
+            assert got == self.outcome(sub, range(sub.n), back)
+            seen[got if isinstance(got, str) else
+                 got[0] if isinstance(got[0], str) else len(got)] += 1
+        assert set(seen) == {3, 5, "bipartite", "long-induced-odd-cycle"}
 
 
 class TestDominatingPair:
@@ -529,7 +586,7 @@ class TestScaling:
 
 
 class TestNoWorkingCopies:
-    """The solver copies each connected component once, and G[K] once."""
+    """The solver copies each connected component once, and nothing else."""
 
     @staticmethod
     def count_copies(monkeypatch, inst):
@@ -555,7 +612,7 @@ class TestNoWorkingCopies:
     def test_large_path_split(self, monkeypatch):
         inst = gen_probe_instance(2000, 0.4, 7, family="path-split")
         calls, comps = self.count_copies(monkeypatch, inst)
-        assert calls["induced_subgraph"] <= 2 * comps
+        assert calls["induced_subgraph"] == comps
 
     def test_case_three_with_j_component(self, monkeypatch):
         edges = [(0, 1), (0, 4), (1, 4), (2, 6), (3, 4), (3, 5), (3, 6),
@@ -564,7 +621,7 @@ class TestNoWorkingCopies:
             build_graph(7, edges), frozenset({0, 1, 4, 5, 6}), frozenset({2, 3}))
         calls, comps = self.count_copies(monkeypatch, inst)
         assert calls["_case2_attempt"] >= 1
-        assert calls["induced_subgraph"] <= 2 * comps
+        assert calls["induced_subgraph"] == comps
 
 
 class TestProperAssignments:
