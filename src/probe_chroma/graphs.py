@@ -76,7 +76,9 @@ def build_graph(n: int, edges) -> Graph:
     """Validate and normalise an edge list into a :class:`Graph`.
 
     Duplicate edges collapse; self-loops and out-of-range ids raise
-    :class:`GraphConstructionError`.
+    :class:`GraphConstructionError`.  An edge given as a ``(u, v)`` tuple
+    with ``u < v`` is kept as is rather than copied, so a caller that holds
+    its edge list does not pay for a second set of pairs.
     """
     if n < 0:
         raise GraphConstructionError(f"negative vertex count {n}")
@@ -87,7 +89,11 @@ def build_graph(n: int, edges) -> Graph:
             raise GraphConstructionError(f"edge {e!r} leaves the id range 0..{n - 1}")
         if u == v:
             raise GraphConstructionError(f"self-loop at vertex {u}")
-        seen.add((u, v) if u < v else (v, u))
+        if u > v:
+            e = (v, u)
+        elif type(e) is not tuple:
+            e = (u, v)
+        seen.add(e)
     sorted_edges = tuple(sorted(seen))
     nbr = [set() for _ in range(n)]
     for u, v in sorted_edges:

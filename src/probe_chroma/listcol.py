@@ -1,9 +1,18 @@
 """Completing a partial colouring when every open list has at most 2 colours.
 
-The instance becomes 2-SAT: one variable per (vertex, allowed colour),
-at-least-one clauses per vertex, at-most-one-per-edge clauses per shared
-colour, plus optional colour-equality couplings between vertex chains.
-Satisfiability is decided with Tarjan's strongly connected components.
+The instance becomes 2-SAT over the tied vertices: those that share a list
+colour with a listed neighbour or sit in a colour-equality coupling.  Each
+gets one variable per allowed colour and an at-least-one clause; each edge
+gets an at-most-one clause per shared colour, and each coupling chains its
+vertices colour by colour.  Satisfiability is decided with Tarjan's
+strongly connected components.
+
+Every other listed vertex takes its least list colour without a variable.
+The full formula, with variables for every listed vertex, gives the same
+colouring: Tarjan visits roots in index order, and an untied vertex's
+clause gadget is a separate piece of the implication graph whose first
+literal finishes first, so that literal is read as true.  Leaving the
+gadget out does not change the order of the other components.
 """
 
 from __future__ import annotations
@@ -33,8 +42,8 @@ class EqualityConstraint:
 class ListFormula:
     num_vars: int
     clauses: tuple  # pairs of DIMACS-style literals; units doubled
-    var_of: dict  # (vertex, colour) -> 0-based variable index
-    lists: dict  # vertex -> ascending tuple of allowed colours
+    var_of: dict  # (tied vertex, colour) -> 0-based variable index
+    lists: dict  # every listed vertex -> ascending tuple of allowed colours
     unsat: bool  # an empty list or contradictory constant arose while building
 
 
@@ -61,14 +70,32 @@ def compute_lists(g: Graph, partial: PartialColouring, skip=frozenset()) -> dict
 
 def build_list_formula(g: Graph, partial: PartialColouring, equalities=(),
                        skip=frozenset()) -> ListFormula:
+    """The 2-SAT formula of the open lists, over the tied vertices only.
+
+    A listed vertex is tied when it shares a list colour with a listed
+    neighbour or sits in one of the ``equalities``; only tied vertices get
+    variables and clauses, and ``lists`` still holds every listed vertex.
+    Edge clauses follow the edges in lexicographic ``(u, v)`` order.  An
+    empty list anywhere makes the formula ``unsat``.
+    """
     lists = compute_lists(g, partial, skip)
+    shared = []  # (u, v, common colours) of listed edges u < v
+    for u, row in lists.items():
+        for v in g.adj[u]:
+            if v > u and v in lists:
+                common = [c for c in row if c in lists[v]]
+                if common:
+                    shared.append((u, v, common))
+    shared.sort()
+    tied = {v for u, w, _ in shared for v in (u, w)}
+    tied.update(v for eq in equalities for v in eq.vertices if v in lists)
     var_of = {}
-    for v in sorted(lists):
+    for v in sorted(tied):
         for c in lists[v]:
             var_of[(v, c)] = len(var_of)
 
     clauses = []
-    unsat = False
+    unsat = any(not row for row in lists.values())
 
     def lit(v, c):
         # constant when v is already coloured or c is off v's list
@@ -78,22 +105,17 @@ def build_list_formula(g: Graph, partial: PartialColouring, equalities=(),
             return _FALSE
         return ("var", var_of[(v, c)] + 1)
 
-    for v in sorted(lists):
+    for v in sorted(tied):
         row = lists[v]
-        if not row:
-            unsat = True
-        elif len(row) == 1:
+        if len(row) == 1:
             x = var_of[(v, row[0])] + 1
             clauses.append((x, x))
-        else:
+        elif row:
             clauses.append((var_of[(v, row[0])] + 1, var_of[(v, row[1])] + 1))
 
-    for u, v in g.edges:
-        if u not in lists or v not in lists:
-            continue
-        for c in lists[u]:
-            if (v, c) in var_of:
-                clauses.append((-(var_of[(u, c)] + 1), -(var_of[(v, c)] + 1)))
+    for u, v, common in shared:
+        for c in common:
+            clauses.append((-(var_of[(u, c)] + 1), -(var_of[(v, c)] + 1)))
 
     for eq in equalities:
         verts = tuple(sorted(eq.vertices))
@@ -199,8 +221,10 @@ def extend_by_2list(g: Graph, partial: PartialColouring, equalities=(),
     """Complete ``partial`` on all of ``g`` but ``skip`` (left uncoloured),
     or report impossibility with None.
 
-    Ties between the two allowed truths of a vertex resolve to the smaller
-    colour, so the output is deterministic.
+    A tied vertex takes the first colour of its list whose variable is
+    true, so a tie between two true variables resolves to the smaller
+    colour; an untied vertex takes its least list colour, as the full
+    formula would give it (see the module docstring).
     """
     formula = build_list_formula(g, partial, equalities, skip)
     if formula.unsat:
@@ -208,7 +232,11 @@ def extend_by_2list(g: Graph, partial: PartialColouring, equalities=(),
     assignment = solve_two_sat(formula.num_vars, formula.clauses)
     if assignment is None:
         return None
+    var_of = formula.var_of
     updates = {}
     for v, row in formula.lists.items():
-        updates[v] = next(c for c in row if assignment[formula.var_of[(v, c)]])
+        if (v, row[0]) in var_of:
+            updates[v] = next(c for c in row if assignment[var_of[(v, c)]])
+        else:
+            updates[v] = row[0]
     return partial.with_colours(updates)

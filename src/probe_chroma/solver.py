@@ -11,6 +11,7 @@ unconditionally.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .errors import ListSizeError, PromiseViolation
@@ -125,28 +126,42 @@ def colour_components(g: Graph, probes, stats: SolveStats, colour_component,
                       oracle_fallback: bool):
     """Colour g one connected component at a time.
 
-    ``colour_component(sub, sub_probes, stats)`` returns a colouring of the
-    component or None when it has no 3-colouring.  Its refusals come back
-    with g's vertex ids; with ``oracle_fallback`` the refused component is
-    re-solved by brute force instead.  Returns the colouring of g as a list,
-    or None at the first component without a 3-colouring.
+    ``colour_component(g, comp, probes, stats)`` gets g itself and the
+    sorted tuple ``comp`` of one component's vertices, and returns the
+    component's colouring aligned with ``comp``, or None when it has no
+    3-colouring.  It copies the component only where it needs one, through
+    :func:`component_copy`, whose ids are positions in ``comp``; its
+    refusals name those positions and come back here with g's ids.  With
+    ``oracle_fallback`` a refused component is re-solved by brute force
+    instead.  Returns the colouring of g as a list, or None at the first
+    component without a 3-colouring.
     """
     colours = [0] * g.n
     for comp in connected_components(g):
-        sub, back = induced_subgraph(g, comp)
-        sub_probes = frozenset(i for i, old in enumerate(back) if old in probes)
-        stats.start_component(range(sub.n))
+        stats.start_component(range(len(comp)))
         try:
-            res = colour_component(sub, sub_probes, stats)
+            res = colour_component(g, comp, probes, stats)
         except PromiseViolation as pv:
             if not oracle_fallback:
-                raise pv.translated(back)
-            res = oracle_k_colourable(sub, 3)
+                raise pv.translated(comp)
+            res = oracle_k_colourable(component_copy(g, comp, probes)[0], 3)
         if res is None:
             return None
-        for new, old in enumerate(back):
-            colours[old] = res[new]
+        for v, c in zip(comp, res):
+            colours[v] = c
     return colours
+
+
+def component_copy(g: Graph, comp, probes):
+    """The copy G[comp] and its probe set; g itself when ``comp`` spans g.
+
+    The copy's ids are positions in the sorted tuple ``comp``, so its
+    colourings and refusals are what :func:`colour_components` expects.
+    """
+    if len(comp) == g.n:
+        return g, probes
+    sub, _ = induced_subgraph(g, comp)
+    return sub, frozenset(i for i, v in enumerate(comp) if v in probes)
 
 
 def run_solver(g: Graph, stats: SolveStats, colour) -> Verdict:
@@ -245,27 +260,31 @@ def _try_extend(g, partial, equalities, stats, skip=frozenset()):
         ) from e
 
 
-def colour_bipartite_parts(g, parts):
-    """Colour the bipartite ``parts`` of :func:`two_colour_components` with
-    their 2-colourings and every other vertex of g with colour 3."""
-    colours = [3] * g.n
-    for comp, cols in parts:
-        for v, c in zip(comp, cols):
-            colours[v] = c
-    return colours
+def colour_bipartite_parts(comp, parts):
+    """Colouring aligned with ``comp``: the bipartite ``parts`` of
+    :func:`two_colour_components` take their 2-colourings and every other
+    vertex of ``comp`` colour 3."""
+    colours = dict.fromkeys(comp, 3)
+    for part, cols in parts:
+        colours.update(zip(part, cols))
+    return [colours[v] for v in comp]
 
 
 # ------------------------------------------------------------- probe component
 
-def _probe_component_core(g, probes, stats):
-    parts = two_colour_components(g, probes)
-    odd = [comp for comp, cols in parts if cols is None]
+def _probe_component_core(g, comp, probes, stats):
+    parts = two_colour_components(g, [v for v in comp if v in probes])
+    odd = [part for part, cols in parts if cols is None]
     if not odd:
-        return colour_bipartite_parts(g, parts)
-    # nonprobes are independent, so a K4 holds a triangle of K
-    if len(odd) >= 2 or find_k4(g) is not None:
+        return colour_bipartite_parts(comp, parts)
+    if len(odd) >= 2:
         return None
-    kverts = odd[0]
+    # ids of the copy are positions in comp
+    kverts = tuple([bisect_left(comp, v) for v in odd[0]])
+    g, probes = component_copy(g, comp, probes)
+    # nonprobes are independent, so a K4 holds a triangle of K
+    if find_k4(g) is not None:
+        return None
     cycle = pick_reference_cycle(g, kverts)
     # a row never holds its own bit, so only vertices off the cycle can match
     crow = sum(1 << v for v in cycle)
@@ -297,8 +316,9 @@ def pick_reference_cycle(g: Graph, kverts) -> tuple:
     neither (odd girth 7 or more) cannot be probe P5-free; its witness is
     the shortest odd cycle of the copy G[K], because
     :func:`shortest_odd_cycle` breaks ties by adjacency-set order, which
-    the ids of g can change.  A bipartite ``kverts`` raises ValueError.  The C5 search gives up past
-    ``C5_SEARCH_NODE_BUDGET`` nodes with :class:`SearchBudgetExceeded`.
+    the ids of g can change.  A bipartite ``kverts`` raises ValueError.
+    The C5 search gives up past ``C5_SEARCH_NODE_BUDGET`` nodes with
+    :class:`SearchBudgetExceeded`.
     """
     emb = find_induced_subgraph(g, _C5, within=kverts,
                                 node_budget=C5_SEARCH_NODE_BUDGET)

@@ -27,6 +27,7 @@ from .solver import (
     certify,
     colour_bipartite_parts,
     colour_components,
+    component_copy,
     run_solver,
 )
 
@@ -54,10 +55,11 @@ def colour_trianglefree_probe_p5(inst: ProbeInstance) -> tuple:
     return tuple(colours)
 
 
-def _trianglefree_component(g, probes, stats):
-    parts = two_colour_components(g, probes)
+def _trianglefree_component(g, comp, probes, stats):
+    parts = two_colour_components(g, [v for v in comp if v in probes])
     if all(cols is not None for _, cols in parts):
-        return colour_bipartite_parts(g, parts)
+        return colour_bipartite_parts(comp, parts)
+    g, probes = component_copy(g, comp, probes)
     gp, pmap = induced_subgraph(g, probes)
     cycle = [pmap[v] for v in shortest_odd_cycle(gp)]
     if len(cycle) != 5:
@@ -115,7 +117,8 @@ def solve_3col_p3sp1(inst: ProbeInstance, s: int,
         try:
             rest = colour_components(
                 h, h_probes, stats,
-                lambda sub, sub_probes, st: _p3sp1_component(sub, sub_probes, s, st),
+                lambda host, comp, host_probes, st: _p3sp1_component(
+                    *component_copy(host, comp, host_probes), s, st),
                 opts.oracle_fallback)
         except PromiseViolation as pv:
             raise pv.translated(hmap)
@@ -167,7 +170,7 @@ def _case_p3free(g, probes, nprob, s, stats):
             parts = two_colour_components(
                 g, [v for v in range(g.n) if v not in removed])
             if all(cols is not None for _, cols in parts):
-                return colour_bipartite_parts(g, parts)
+                return colour_bipartite_parts(range(g.n), parts)
     return None
 
 

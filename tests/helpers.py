@@ -117,6 +117,72 @@ def brute_two_sat(num_vars, clauses):
     return None
 
 
+def full_list_formula(g: Graph, partial, equalities=(), skip=frozenset()):
+    """The 2-SAT encoding with variables for every listed vertex:
+    (num_vars, clauses, var_of, lists, unsat), clauses in the order of
+    per-vertex clauses by id, edges in ``g.edges`` order, then the equality
+    chains.  The reference for ``listcol.build_list_formula``, which gives
+    variables to tied vertices only."""
+    from probe_chroma.listcol import compute_lists
+
+    lists = compute_lists(g, partial, skip)
+    var_of = {}
+    for v in sorted(lists):
+        for c in lists[v]:
+            var_of[(v, c)] = len(var_of)
+    clauses = []
+    unsat = False
+    for v in sorted(lists):
+        row = [var_of[(v, c)] + 1 for c in lists[v]]
+        if not row:
+            unsat = True
+        else:
+            clauses.append((row[0], row[-1]))
+    for u, v in g.edges:
+        if u in lists and v in lists:
+            for c in lists[u]:
+                if (v, c) in var_of:
+                    clauses.append((-(var_of[(u, c)] + 1), -(var_of[(v, c)] + 1)))
+
+    def lit(v, c):  # True, False or a DIMACS literal
+        if partial.colours[v]:
+            return partial.colours[v] == c
+        return var_of[(v, c)] + 1 if (v, c) in var_of else False
+
+    for eq in equalities:
+        verts = sorted(eq.vertices)
+        for a, b in zip(verts, verts[1:]):
+            for c in eq.colours:
+                la, lb = lit(a, c), lit(b, c)
+                if isinstance(la, bool) and isinstance(lb, bool):
+                    unsat |= la != lb
+                    continue
+                if isinstance(la, bool):
+                    la, lb = lb, la
+                if isinstance(lb, bool):
+                    clauses.append((la, la) if lb else (-la, -la))
+                else:
+                    clauses += [(-la, lb), (la, -lb)]
+    return len(var_of), clauses, var_of, lists, unsat
+
+
+def full_extension(g: Graph, partial, equalities=(), skip=frozenset()):
+    """``extend_by_2list`` over :func:`full_list_formula`: every listed
+    vertex takes the first colour of its list whose variable is true."""
+    from probe_chroma.listcol import solve_two_sat
+
+    num_vars, clauses, var_of, lists, unsat = full_list_formula(
+        g, partial, equalities, skip)
+    if unsat:
+        return None
+    assignment = solve_two_sat(num_vars, clauses)
+    if assignment is None:
+        return None
+    return partial.with_colours({
+        v: next(c for c in row if assignment[var_of[(v, c)]])
+        for v, row in lists.items()})
+
+
 def exact_cover_exists(universe, collection) -> bool:
     target = frozenset(universe)
 

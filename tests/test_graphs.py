@@ -61,6 +61,13 @@ class TestBuildGraph:
         assert 0 in g.adj[2] and 2 in g.adj[0]
         assert g.has_edge(3, 1)
 
+    def test_normalised_edge_tuples_are_kept(self):
+        kept, flipped = (0, 2), (3, 1)
+        g = build_graph(4, [kept, flipped, [1, 2]])
+        assert g.edges == ((0, 2), (1, 2), (1, 3))
+        assert g.edges[0] is kept
+        assert all(type(e) is tuple for e in g.edges)
+
     def test_equality_and_hash(self):
         a = build_graph(3, [(0, 1)])
         b = build_graph(3, [(1, 0)])

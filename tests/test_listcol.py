@@ -201,3 +201,89 @@ class TestSkip:
     def test_coloured_skip_vertex_rejected(self):
         with pytest.raises(ValueError):
             compute_lists(path_graph(3), PartialColouring(3, (0, 2, 0)), {1})
+
+
+class TestTiedVertices:
+    """Only vertices that share a list colour with a listed neighbour, or
+    sit in an equality, get variables; the colouring is the one the full
+    encoding over every listed vertex gives."""
+
+    @staticmethod
+    def draws():
+        rng = random.Random(19)
+        for _ in range(400):
+            g, partial, groups = _case(
+                rng.randint(2, 8), rng.randrange(10**6), rng.uniform(0.2, 0.8),
+                rng.randrange(10**6), rng.randrange(10**6))
+            yield g, partial, groups, frozenset()
+        for g, partial, skip in helpers.skip_cases(400, 23):
+            groups = [EqualityConstraint(tuple(rng.sample(range(g.n), 2)),
+                                         (1, 2, 3))
+                      for _ in range(rng.randint(0, 2))]
+            yield g, partial, groups, skip
+
+    def test_matches_the_full_encoding(self):
+        seen = set()
+        for g, partial, groups, skip in self.draws():
+            try:
+                want = helpers.full_extension(g, partial, groups, skip)
+            except ListSizeError as e:
+                with pytest.raises(ListSizeError) as got:
+                    extend_by_2list(g, partial, groups, skip)
+                assert got.value.vertex == e.vertex
+                seen.add("too-long")
+                continue
+            assert extend_by_2list(g, partial, groups, skip) == want
+            f = build_list_formula(g, partial, groups, skip)
+            untied = [v for v, row in f.lists.items()
+                      if row and (v, row[0]) not in f.var_of]
+            seen.add("none" if want is None else "extended")
+            if want is not None and any(len(f.lists[v]) == 2 for v in untied):
+                seen.add("untied-two-list")
+            if want is not None and f.num_vars and groups:
+                seen.add("tied-with-equality")
+        assert seen == {"too-long", "none", "extended", "untied-two-list",
+                        "tied-with-equality"}
+
+    def test_untied_two_list_vertex_takes_its_least_colour(self):
+        # 0 sees colour 1 (list 2, 3); its listed neighbour 1 sees 2 and 3
+        g = build_graph(5, [(0, 1), (0, 2), (1, 3), (1, 4)])
+        partial = PartialColouring(3, (0, 0, 1, 2, 3))
+        f = build_list_formula(g, partial)
+        assert f.lists == {0: (2, 3), 1: (1,)}
+        assert f.num_vars == 0 and f.var_of == {} and f.clauses == ()
+        assert extend_by_2list(g, partial).colours == (2, 1, 1, 2, 3)
+
+    def test_adjacent_same_colour_singletons_stay_unsatisfiable(self):
+        g = complete_graph(4)
+        partial = PartialColouring(3, (2, 3, 0, 0))
+        f = build_list_formula(g, partial)
+        assert f.lists == {2: (1,), 3: (1,)}
+        assert f.var_of == {(2, 1): 0, (3, 1): 1}
+        assert extend_by_2list(g, partial) is None
+
+    def test_vertex_tied_only_by_an_equality_gets_variables(self):
+        g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        partial = PartialColouring(3, (1, 0, 1, 0, 1))
+        assert build_list_formula(g, partial).num_vars == 0
+        eq = EqualityConstraint((1, 3), (2, 3))
+        f = build_list_formula(g, partial, [eq])
+        assert sorted(f.var_of) == [(1, 2), (1, 3), (3, 2), (3, 3)]
+
+    @pytest.mark.parametrize("family", ["pentagon", "split-pure", "union"])
+    def test_promise_inputs_build_no_variables(self, family, monkeypatch):
+        from probe_chroma import listcol
+        from probe_chroma.generators import gen_probe_instance
+        from probe_chroma.solver import COLOURABLE, solve_3col
+
+        sizes = []
+        real = listcol.build_list_formula
+
+        def counted(*args, **kwargs):
+            f = real(*args, **kwargs)
+            sizes.append(f.num_vars)
+            return f
+        monkeypatch.setattr(listcol, "build_list_formula", counted)
+        v = solve_3col(gen_probe_instance(2000, 0.4, 7, family=family))
+        assert v.status == COLOURABLE
+        assert sizes and set(sizes) == {0}

@@ -586,14 +586,16 @@ class TestScaling:
 
 
 class TestNoWorkingCopies:
-    """The solver copies each connected component once, and nothing else."""
+    """The solver copies a component only on its way to the reference cycle,
+    and then only when the component is not the whole input."""
 
     @staticmethod
     def count_copies(monkeypatch, inst):
         from probe_chroma import solver
         from probe_chroma.graphs import connected_components
 
-        calls = {"induced_subgraph": 0, "_case2_attempt": 0}
+        calls = {"induced_subgraph": 0, "_case2_attempt": 0,
+                 "pick_reference_cycle": 0}
 
         def counted(name):
             real = getattr(solver, name)
@@ -603,25 +605,63 @@ class TestNoWorkingCopies:
                 return real(*args, **kwargs)
             monkeypatch.setattr(solver, name, wrapper)
 
-        counted("induced_subgraph")
-        counted("_case2_attempt")
+        for name in calls:
+            counted(name)
         v = solve_3col(inst)
         assert_colourable(inst, v)
         return calls, len(connected_components(inst.graph))
 
     def test_large_path_split(self, monkeypatch):
+        # one component with a bipartite probe side: coloured in place
         inst = gen_probe_instance(2000, 0.4, 7, family="path-split")
         calls, comps = self.count_copies(monkeypatch, inst)
-        assert calls["induced_subgraph"] == comps
+        assert comps == 1
+        assert calls["induced_subgraph"] == 0
 
     def test_case_three_with_j_component(self, monkeypatch):
-        edges = [(0, 1), (0, 4), (1, 4), (2, 6), (3, 4), (3, 5), (3, 6),
-                 (5, 6)]
-        inst = validate_probe_instance(
-            build_graph(7, edges), frozenset({0, 1, 4, 5, 6}), frozenset({2, 3}))
-        calls, comps = self.count_copies(monkeypatch, inst)
+        calls, comps = self.count_copies(monkeypatch, _j_component_instance())
         assert calls["_case2_attempt"] >= 1
-        assert calls["induced_subgraph"] == comps
+        assert comps == 1
+        assert calls["induced_subgraph"] == 0
+
+    def test_one_copy_per_component_with_an_odd_probe_side(self, monkeypatch):
+        calls, comps = self.count_copies(monkeypatch, _mixed_components_instance())
+        assert comps == 5
+        assert calls["pick_reference_cycle"] == 3
+        assert calls["induced_subgraph"] == calls["pick_reference_cycle"]
+
+
+class TestRefusalsInLaterComponents:
+    """A refusal raised in a component that is not the first names the
+    input's vertex ids, exactly as when every component was copied."""
+
+    def test_long_odd_cycle(self):
+        # components (0, 1, 5, 6): a probe path; (2, 3, 4, 7, 8, 9, 10): C7
+        edges = [(0, 6), (1, 5), (2, 7), (2, 8), (3, 9), (3, 10), (4, 7),
+                 (4, 10), (5, 6), (8, 9)]
+        inst = _probe_side(build_graph(11, edges), {0, 5})
+        v = solve_3col(inst)
+        assert v.status == NOT_PROBE_P5_FREE
+        assert v.diagnostic == {
+            "claim": "long-induced-odd-cycle",
+            "witnesses": [2, 7, 4, 10, 3, 9, 8],
+            "detail": "shortest odd cycle has length 7; only 3 or 5 can occur",
+        }
+
+    def test_two_sat_budget(self, monkeypatch):
+        import probe_chroma.solver as solver
+
+        # components (0, 5, 7): a path through nonprobe 5; (1, 2, 3, 4, 6): C5
+        edges = [(0, 5), (1, 2), (1, 6), (2, 3), (3, 4), (4, 6), (5, 7)]
+        inst = _probe_side(build_graph(8, edges), {5})
+        assert solve_3col(inst).status == COLOURABLE
+        monkeypatch.setattr(solver, "COMPONENT_TWO_SAT_BUDGET", 0)
+        v = solve_3col(inst)
+        assert v.diagnostic == {
+            "claim": "two-sat-budget-exceeded",
+            "witnesses": [1, 2, 3, 4, 6],
+            "detail": "a component needed more than 0 2-SAT rounds",
+        }
 
 
 class TestProperAssignments:
@@ -726,6 +766,18 @@ def _j_component_instance():
     edges = [(0, 1), (0, 4), (1, 4), (2, 6), (3, 4), (3, 5), (3, 6), (5, 6)]
     return validate_probe_instance(
         build_graph(7, edges), frozenset({0, 1, 4, 5, 6}), frozenset({2, 3}))
+
+
+def _mixed_components_instance():
+    """Five interleaved components: an all-probe C5, the J fixture of
+    :func:`_j_component_instance` and a probe triangle with a pendant reach
+    the reference cycle; a P4 and a triangle through a nonprobe have
+    bipartite probe sides."""
+    edges = [(0, 7), (0, 14), (1, 5), (1, 15), (1, 17), (2, 3), (2, 15),
+             (2, 22), (3, 22), (4, 10), (4, 12), (6, 12), (7, 14), (8, 11),
+             (8, 16), (8, 19), (9, 13), (9, 20), (11, 16), (13, 21), (15, 17),
+             (18, 20), (18, 21)]
+    return _probe_side(build_graph(23, edges), {0, 4, 5, 6, 15})
 
 
 def _unfillable_instance():
