@@ -17,7 +17,7 @@ def main():
     print("pentagon with hidden chords:")
     print("  status   ", v.status)
     print("  colouring", v.colouring)
-    print("  branches per component", v.stats.component_branches)
+    print("  2-SAT rounds per component", v.stats.component_two_sat_calls)
     print()
 
     # An all-probe C7 cannot be completed to a P5-free graph: there are no

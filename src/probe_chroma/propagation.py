@@ -56,8 +56,7 @@ def propagate(g: Graph, start: PartialColouring, *, skip=frozenset(),
     while queue:
         v = queue.popleft()
         queued[v] = False
-        if colours[v]:
-            continue
+        # a vertex is coloured only when it is popped, so v is still open
         seen = _seen_colours(g, colours, v)
         if len(seen) == k - 1:
             missing = next(c for c in range(1, k + 1) if c not in seen)

@@ -1,10 +1,11 @@
 """3-colouring solver for partitioned probe P5-free graphs.
 
 The solver is a promise algorithm: verdicts are trustworthy on genuine probe
-P5-free inputs.  Every structural claim the algorithm leans on is checked at
-run time; a failed check aborts the solve with a
+P5-free inputs.  Every structural claim the algorithm leans on that a solve
+can fail is checked at run time; a failed check aborts the solve with a
 ``not_probe_p5_free`` verdict naming the claim and the witnessing vertices,
-rather than guessing.  Returned colourings are verified proper
+rather than guessing.  A claim that earlier steps already guarantee carries
+its reason in a comment instead.  Returned colourings are verified proper
 unconditionally.
 """
 
@@ -37,7 +38,10 @@ COLOURABLE = "colourable"
 NOT_COLOURABLE = "not_colourable"
 NOT_PROBE_P5_FREE = "not_probe_p5_free"
 
-COMPONENT_TWO_SAT_BUDGET = 810  # 30 cycle colourings x 9 pair colourings x 3
+# most 2-SAT rounds one component can take: max(30, 6 x 9 x 3).  A C5 has 30
+# proper colourings and each takes one round; a triangle has 6, each dominating
+# pair up to 9 and each forks into at most 3 attempts at the M_u witness
+COMPONENT_TWO_SAT_BUDGET = 162
 C5_SEARCH_NODE_BUDGET = 5_000_000  # node cap of the induced-C5 search
 
 _C5 = pattern_graph("c5")
@@ -55,20 +59,13 @@ class SolveStats:
     two_sat_calls: int = 0
     time_ms: float = 0.0
     seed: int | None = None
-    component_branches: list = field(default_factory=list)
     component_two_sat_calls: list = field(default_factory=list)
     two_sat_budget: int | None = None  # per-component hard cap, when set
     component_vertices: range | tuple = ()  # current component; witnesses when the cap is hit
 
     def start_component(self, vertices):
-        self.component_branches.append(0)
         self.component_two_sat_calls.append(0)
         self.component_vertices = vertices
-
-    def add_branch(self):
-        self.branches += 1
-        if self.component_branches:
-            self.component_branches[-1] += 1
 
     def add_two_sat(self):
         self.two_sat_calls += 1
@@ -197,9 +194,7 @@ def solve_3col(inst: ProbeInstance, opts: SolverOptions | None = None) -> Verdic
     ``not_probe_p5_free`` verdict whose diagnostic names the claim and
     witnessing vertices of ``inst``.  Among the claims:
     ``two-sat-budget-exceeded`` when one component needs more than
-    ``COMPONENT_TWO_SAT_BUDGET`` 2-SAT rounds, and
-    ``propagation-left-two-colours`` when an uncoloured vertex of the probe
-    component sees two colours after propagation.
+    ``COMPONENT_TWO_SAT_BUDGET`` 2-SAT rounds.
 
     The only exception that escapes is :class:`CapabilityError`: its
     subclass ``SearchBudgetExceeded`` when the induced-C5 search passes
@@ -293,18 +288,29 @@ def _probe_component_core(g, comp, probes, stats):
     base = PartialColouring.blank(g.n, 3)
     outside_k = frozenset(range(g.n)).difference(kverts)
     for assignment in _proper_assignments(g, cycle, base):
-        stats.add_branch()
-        # propagate through the probe component only
-        psi = propagate(g, base.with_colours(assignment), skip=outside_k)
-        if isinstance(psi, Conflict):
-            continue
+        stats.branches += 1
+        start = base.with_colours(assignment)
         if len(cycle) == 5:
-            out = _run_case1(g, psi, stats)
+            ext = _propagate_and_extend(g, start, stats)
+            out = None if ext is None else ext.colours
         else:
-            out = _run_case2(g, probes, kverts, cycle, psi, stats)
+            # propagate through the probe component only
+            psi = propagate(g, start, skip=outside_k)
+            if isinstance(psi, Conflict):
+                continue
+            out = _run_case2(g, probes, kverts, psi, stats)
         if out is not None:
             return out
     return None
+
+
+def _propagate_and_extend(g, start, stats, skip=frozenset(), equalities=()):
+    """Propagate ``start`` over g, then one 2-SAT round, both with ``skip``
+    set aside; the extension, or None when either step fails."""
+    res = propagate(g, start, skip=skip)
+    if isinstance(res, Conflict):
+        return None
+    return _try_extend(g, res, equalities, stats, skip)
 
 
 def pick_reference_cycle(g: Graph, kverts) -> tuple:
@@ -349,90 +355,67 @@ def pick_reference_cycle(g: Graph, kverts) -> tuple:
     )
 
 
-def _run_case1(g, psi, stats):
-    """|C| = 5: one full propagation plus one 2-SAT round."""
-    res = propagate(g, psi)
-    if isinstance(res, Conflict):
-        return None
-    ext = _try_extend(g, res, (), stats)
-    return ext.colours if ext is not None else None
-
-
 # ----------------------------------------------------------------- case |C| = 3
 
 @dataclass(frozen=True)
 class CaseDecomposition:
     """Per-branch snapshot of the component around the coloured triangle.
 
-    ``k_c``/``k_u`` are colour-indexed triples (index i-1 for colour i);
+    ``m_u`` is a colour-indexed triple (index i-1 for colour i);
+    ``j_components`` pairs each J component with its 2-colouring;
     ``removed_lr`` lists (vertex, colour) pairs taken out by the single-class
     neighbourhood rule.
     """
 
-    k_vertices: frozenset
-    cycle: tuple
-    k_c: tuple
-    k_u: tuple
     k_r: frozenset
-    i_vertices: frozenset
-    m_c: frozenset
     m_u: tuple
     m_r: frozenset
-    l_c: frozenset
-    l_u: tuple
     l_r: frozenset
     j_vertices: frozenset
     j_components: tuple
     removed_lr: tuple
 
 
-def make_case_decomposition(g: Graph, probes, k_vertices, cycle,
+def make_case_decomposition(g: Graph, probes, k_vertices,
                             psi: PartialColouring) -> CaseDecomposition:
     """Classify every vertex by its coloured-neighbour profile under psi."""
+    cols = psi.colours
+
+    def seen(v):
+        return {cols[w] for w in g.adj[v] if cols[w]}
+
     K = frozenset(k_vertices)
-    k_c = [set(), set(), set()]
-    for v in K:
-        if psi.colours[v]:
-            k_c[psi.colours[v] - 1].add(v)
     k_u = [set(), set(), set()]
     k_r = set()
     for v in K:
-        if psi.colours[v]:
+        if cols[v]:
             continue
-        seen = {psi.colours[w] for w in g.adj[v] if psi.colours[w]}
-        if len(seen) >= 2:
-            raise PromiseViolation(
-                "propagation-left-two-colours",
-                [v] + sorted(w for w in g.adj[v] if psi.colours[w]),
-                "an uncoloured vertex of the probe component sees two colours",
-            )
-        if seen:
-            k_u[seen.pop() - 1].add(v)
+        # psi is propagation's conflict-free fixpoint inside K, so an open
+        # K vertex sees at most one colour
+        c = seen(v)
+        if c:
+            k_u[c.pop() - 1].add(v)
         else:
             k_r.add(v)
     iverts = frozenset(probes) - K
-    nverts = frozenset(range(g.n)) - frozenset(probes)
-    m = frozenset(v for v in nverts if g.adj[v] & iverts)
-    lverts = nverts - m
-
-    def classify(group):
-        c_, r_ = set(), set()
-        u_ = [set(), set(), set()]
-        for v in sorted(group):
-            cols = {psi.colours[w] for w in g.adj[v] if psi.colours[w]}
-            if len(cols) >= 2:
-                c_.add(v)
-            elif cols:
-                u_[cols.pop() - 1].add(v)
-            else:
-                r_.add(v)
-        return c_, u_, r_
-
-    m_c, m_u, m_r = classify(m)
-    l_c, l_u, l_r = classify(lverts)
-    j = frozenset(v for v in iverts if not (g.adj[v] & m_c))
+    m_c, m_r, l_r = set(), set(), set()
+    m_u = [set(), set(), set()]
+    for v in range(g.n):
+        if v in probes:
+            continue
+        c = seen(v)
+        if not g.adj[v] & iverts:
+            if not c:
+                l_r.add(v)
+        elif len(c) >= 2:
+            m_c.add(v)
+        elif c:
+            m_u[c.pop() - 1].add(v)
+        else:
+            m_r.add(v)
+    j = frozenset(v for v in iverts if not g.adj[v] & m_c)
     j_comps = []
-    for verts, _ in two_colour_components(g, iverts):
+    for verts, two in two_colour_components(g, iverts):
         inside = sum(1 for v in verts if v in j)
         if 0 < inside < len(verts):
             raise PromiseViolation(
@@ -441,24 +424,17 @@ def make_case_decomposition(g: Graph, probes, k_vertices, cycle,
                 "without M_c neighbours",
             )
         if inside:
-            j_comps.append(verts)
+            j_comps.append((verts, two))
     removed = []
+    # the component is connected, so every vertex of L_r has a neighbour
     for v in sorted(l_r):
-        nbrs = g.adj[v]
-        if not nbrs:
-            continue
         for i in (1, 2, 3):
-            if nbrs <= k_u[i - 1]:
+            if g.adj[v] <= k_u[i - 1]:
                 removed.append((v, i))
                 break
     return CaseDecomposition(
-        K, tuple(cycle),
-        tuple(frozenset(s) for s in k_c),
-        tuple(frozenset(s) for s in k_u),
-        frozenset(k_r), iverts, frozenset(m_c),
-        tuple(frozenset(s) for s in m_u), frozenset(m_r),
-        frozenset(l_c), tuple(frozenset(s) for s in l_u), frozenset(l_r),
-        j, tuple(j_comps), tuple(removed),
+        frozenset(k_r), tuple(frozenset(s) for s in m_u), frozenset(m_r),
+        frozenset(l_r), j, tuple(j_comps), tuple(removed),
     )
 
 
@@ -482,9 +458,9 @@ def find_dominating_pair(g: Graph, k_vertices, targets):
     return None
 
 
-def _run_case2(g, probes, kverts, cycle, psi, stats):
+def _run_case2(g, probes, kverts, psi, stats):
     """|C| = 3: decompose, dominate the colour-starved rest, branch."""
-    decomp = make_case_decomposition(g, probes, kverts, cycle, psi)
+    decomp = make_case_decomposition(g, probes, kverts, psi)
     removed_set = frozenset(v for v, _ in decomp.removed_lr)
     targets = decomp.k_r | (decomp.l_r - removed_set)
     pair = find_dominating_pair(g, kverts, targets)
@@ -496,7 +472,7 @@ def _run_case2(g, probes, kverts, cycle, psi, stats):
         )
     mu_nonempty = [i for i in (1, 2, 3) if decomp.m_u[i - 1]]
     for d_assign in _proper_assignments(g, pair, psi):
-        stats.add_branch()
+        stats.branches += 1
         seeded = psi.with_colours(d_assign)
         if not decomp.j_vertices or not mu_nonempty:
             out = _case2_attempt(g, decomp, seeded, stats, drop_j=False)
@@ -504,7 +480,7 @@ def _run_case2(g, probes, kverts, cycle, psi, stats):
             vstar = min(v for i in mu_nonempty for v in decomp.m_u[i - 1])
             out = None
             for v_assign in _proper_assignments(g, (vstar,), seeded):
-                stats.add_branch()
+                stats.branches += 1
                 out = _case2_attempt(
                     g, decomp, seeded.with_colours(v_assign), stats, drop_j=False
                 )
@@ -520,23 +496,19 @@ def _run_case2(g, probes, kverts, cycle, psi, stats):
 def _case2_attempt(g, decomp, seeded, stats, *, drop_j):
     """One propagation + 2-SAT round with the deferred vertices set aside."""
     skip = decomp.m_r | frozenset(v for v, _ in decomp.removed_lr)
-    if drop_j:
-        skip |= decomp.j_vertices
-    res = propagate(g, seeded, skip=skip)
-    if isinstance(res, Conflict):
-        return None
     equalities = []
     if drop_j:
+        skip |= decomp.j_vertices
         mu_nonempty = [i for i in (1, 2, 3) if decomp.m_u[i - 1]]
         palette = tuple(c for c in (1, 2, 3) if c != mu_nonempty[0])
-        for comp in decomp.j_components:
+        for comp, _ in decomp.j_components:
             if len(comp) < 2:
                 continue
             nbrs = sorted(set().union(*(g.adj[v] for v in comp)) - set(comp))
             kept = tuple(x for x in nbrs if x not in skip)
             if len(kept) >= 2:
                 equalities.append(EqualityConstraint(kept, palette))
-    ext = _try_extend(g, res, tuple(equalities), stats, skip)
+    ext = _propagate_and_extend(g, seeded, stats, skip, tuple(equalities))
     if ext is None:
         return None
     return finalize_extension(g, decomp, ext)
@@ -551,18 +523,13 @@ def finalize_extension(g: Graph, decomp: CaseDecomposition,
     (all neighbours lie in the coloured I side).
     """
     colours = list(partial.colours)
-    mu_nonempty = [i for i in (1, 2, 3) if decomp.m_u[i - 1]]
-    for comp in decomp.j_components:
+    for comp, two in decomp.j_components:
         if all(colours[v] for v in comp):
             continue
         if len(comp) == 1:
-            if len(mu_nonempty) != 1:
-                raise PromiseViolation(
-                    "isolated-j-unreachable", list(comp),
-                    "an uncoloured isolated probe survived outside the "
-                    "single-class case",
-                )
-            colours[comp[0]] = mu_nonempty[0]
+            # an uncoloured J vertex exists only in the drop_j attempt,
+            # which needs exactly one M_u class
+            colours[comp[0]] = next(i for i in (1, 2, 3) if decomp.m_u[i - 1])
             continue
         # deferred M_r attachments are colourless here; they pick a free
         # colour after the component, so only M_u neighbours constrain it
@@ -577,20 +544,11 @@ def finalize_extension(g: Graph, decomp: CaseDecomposition,
             )
         shared = ncols.pop()
         palette = [c for c in (1, 2, 3) if c != shared]
-        [(_, cols)] = two_colour_components(g, comp)
-        if cols is None:
-            raise PromiseViolation(
-                "odd-probe-attachment", list(comp),
-                "a probe component outside K is not bipartite",
-            )
-        for v, c in zip(comp, cols):
+        # K is the only odd probe component, so ``two`` is a 2-colouring
+        for v, c in zip(comp, two):
             colours[v] = palette[c - 1]
+    # K is never skipped, so every K_u^i neighbour keeps off colour i
     for v, i in decomp.removed_lr:
-        if any(colours[w] == i for w in g.adj[v]):
-            raise PromiseViolation(
-                "no-free-colour", [v],
-                "a removed vertex regained a neighbour of its recorded colour",
-            )
         colours[v] = i
     for v in sorted(decomp.m_r):
         seen = {colours[w] for w in g.adj[v] if colours[w]}

@@ -150,19 +150,31 @@ def _p3sp1_component(g, probes, s, stats):
 
 
 def _case_p3free(g, probes, nprob, s, stats):
-    """G[P] is P3-free, so the probe side is a disjoint union of cliques;
-    here the component is connected, hence one clique plus nonprobes."""
+    """G[P] is P3-free, so the probe side is a disjoint union of cliques,
+    each of at most three vertices because g has no K4; the nonprobes join
+    them into one component."""
     if not nprob:
         return tuple(i + 1 for i in range(g.n)) if g.n <= 3 else None
     u = min(nprob)
     non_nb = sorted(v for v in probes if v not in g.adj[u])
+    # deg u >= 3 (lower-degree nonprobes were deleted) and all of N(u) are
+    # probes.  If N(u) lay in one clique, u and three of it would be a K4;
+    # so u has neighbours a, b in different cliques, and a-u-b is an induced
+    # P3.  The cliques of a and b hold at most 4 non-neighbours of u, so past
+    # 3(s+2) the rest meet s+1 other cliques, and one from each of s of them
+    # completes an induced P3+sP1 whose only nonprobe is u: no fill removes
+    # it.
     if len(non_nb) > 3 * (s + 2):
-        return None
+        raise PromiseViolation(
+            "too-many-probe-non-neighbours", [u] + non_nb[:20],
+            f"a nonprobe misses more than {3 * (s + 2)} probes of a P3-free "
+            f"probe side, so an induced P3+{s}P1 holds it as its only nonprobe",
+        )
     for size in range(len(non_nb) + 1):
         for sel in itertools.combinations(non_nb, size):
             if any(g.has_edge(a, b) for a, b in itertools.combinations(sel, 2)):
                 continue
-            stats.add_branch()
+            stats.branches += 1
             sset = set(sel)
             removed = sset | {
                 x for x in nprob if not any(w in sset for w in g.adj[x])
@@ -179,7 +191,7 @@ def _first_extension(g, verts, stats):
     2-SAT completes to all of g, or None."""
     base = PartialColouring.blank(g.n, 3)
     for assignment in _proper_assignments(g, verts, base):
-        stats.add_branch()
+        stats.branches += 1
         ext = _try_extend(g, base.with_colours(assignment), (), stats)
         if ext is not None:
             return ext.colours

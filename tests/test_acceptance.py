@@ -31,6 +31,7 @@ from probe_chroma.oracles import oracle_is_probe_hfree, oracle_k_colourable
 from probe_chroma.propagation import Conflict, propagate
 from probe_chroma.solver import (
     COLOURABLE,
+    COMPONENT_TWO_SAT_BUDGET,
     NOT_COLOURABLE,
     NOT_PROBE_P5_FREE,
     solve_3col,
@@ -266,7 +267,7 @@ def test_8_scaling_sweep(capsys):
                 assert verdict.status == COLOURABLE
                 assert verify_colouring(inst.graph, verdict.colouring) is None
                 calls = verdict.stats.component_two_sat_calls
-                assert max(calls, default=0) <= 810
+                assert max(calls, default=0) <= COMPONENT_TWO_SAT_BUDGET
             medians.append(statistics.median(times))
         for prev, cur in zip(medians, medians[1:]):
             # 1ms floor so sub-millisecond noise cannot fail the ratio

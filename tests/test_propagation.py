@@ -108,6 +108,21 @@ class TestSkip:
             conflicts += isinstance(want, Conflict)
         assert 0 < conflicts < 400
 
+    def test_open_live_vertex_sees_at_most_one_colour(self):
+        # the fixpoint the reference-cycle decomposition relies on
+        checked = 0
+        for g, start, skip in helpers.skip_cases(400, 12):
+            out = propagate(g, start, skip=skip)
+            if isinstance(out, Conflict):
+                continue
+            for v in range(g.n):
+                if v in skip or out.colours[v]:
+                    continue
+                seen = {out.colours[w] for w in g.adj[v] if out.colours[w]}
+                assert len(seen) <= 1, (g.edges, start, skip, v)
+                checked += 1
+        assert checked
+
     def test_skipped_vertex_seeing_three_colours_is_no_conflict(self):
         g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
         start = seeded(g, {1: 1, 2: 2, 3: 3})

@@ -289,23 +289,27 @@ class TestDominatingPair:
 class TestCaseDecomposition:
     def fixture(self):
         # probe triangle 0-1-2 coloured (1,2,3), probe 3 pending on colour 1,
-        # nonprobe 4 watching two coloured triangle corners
-        g = build_graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (0, 4), (1, 4)])
-        psi = PartialColouring(3, (1, 2, 3, 0, 0))
-        return g, make_case_decomposition(
-            g, frozenset(range(4)), frozenset(range(4)), (0, 1, 2), psi
-        )
+        # probe 6 pending on 3 only, nonprobe 4 watching two coloured
+        # triangle corners, nonprobe 5 hanging on probe 3 alone
+        g = build_graph(7, [(0, 1), (1, 2), (0, 2), (0, 3), (0, 4), (1, 4),
+                            (3, 5), (3, 6)])
+        probes = frozenset({0, 1, 2, 3, 6})
+        psi = PartialColouring(3, (1, 2, 3, 0, 0, 0, 0))
+        return g, make_case_decomposition(g, probes, probes, psi)
 
     def test_k_classes(self):
         _, d = self.fixture()
-        assert d.k_c == (frozenset({0}), frozenset({1}), frozenset({2}))
-        assert d.k_u == (frozenset({3}), frozenset(), frozenset())
-        assert d.k_r == frozenset()
+        # 6 sees no colour; 3 sees only colour 1, so 5 is removed with it
+        assert d.k_r == frozenset({6})
+        assert d.removed_lr == ((5, 1),)
 
     def test_nonprobe_with_two_coloured_neighbours(self):
         _, d = self.fixture()
-        assert d.i_vertices == frozenset()
-        assert d.m_c == frozenset() and d.l_c == frozenset({4})
+        # 4 sees two colours and no I vertex: in none of the kept sets
+        assert d.l_r == frozenset({5})
+        assert d.m_r == frozenset()
+        assert d.m_u == (frozenset(), frozenset(), frozenset())
+        assert d.j_vertices == frozenset() and d.j_components == ()
 
     def test_i_side_splits_m_from_l(self):
         # probes: triangle 0-1-2 and far edge 3-4; nonprobes 5 (on I) and 6
@@ -314,13 +318,12 @@ class TestCaseDecomposition:
         )
         psi = PartialColouring(3, (1, 2, 3, 0, 0, 0, 0))
         d = make_case_decomposition(
-            g, frozenset(range(5)), frozenset({0, 1, 2}), (0, 1, 2), psi
+            g, frozenset(range(5)), frozenset({0, 1, 2}), psi
         )
-        assert d.i_vertices == frozenset({3, 4})
-        assert d.m_u[0] == frozenset({5})
-        assert d.l_u[0] == frozenset({6})
+        assert d.m_u == (frozenset({5}), frozenset(), frozenset())
+        assert d.m_r == frozenset() and d.l_r == frozenset()
         assert d.j_vertices == frozenset({3, 4})
-        assert d.j_components == ((3, 4),)
+        assert d.j_components == (((3, 4), (1, 2)),)
 
     def test_j_mixing_violates_promise(self):
         # I-component {4, 5}: 4 touches the M_c vertex 6, 5 does not
@@ -330,20 +333,9 @@ class TestCaseDecomposition:
         psi = PartialColouring(3, (1, 2, 3, 0, 0, 0, 0))
         with pytest.raises(PromiseViolation) as e:
             make_case_decomposition(
-                g, frozenset(range(6)), frozenset({0, 1, 2}), (0, 1, 2), psi
+                g, frozenset(range(6)), frozenset({0, 1, 2}), psi
             )
         assert e.value.claim == "j-not-component-closed"
-
-    def test_two_coloured_neighbours_violate_promise(self):
-        # probe 3 is uncoloured but sees triangle corners of colours 1 and 2
-        g = build_graph(4, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3)])
-        psi = PartialColouring(3, (1, 2, 3, 0))
-        with pytest.raises(PromiseViolation) as e:
-            make_case_decomposition(
-                g, frozenset(range(4)), frozenset(range(4)), (0, 1, 2), psi
-            )
-        assert e.value.claim == "propagation-left-two-colours"
-        assert e.value.witnesses == [3, 0, 1]
 
     def test_single_class_lr_removal(self):
         # 4 and 5 are K_u[1] probes; nonprobe 6 sees only them, so it is
@@ -353,9 +345,10 @@ class TestCaseDecomposition:
         )
         psi = PartialColouring(3, (1, 2, 3, 0, 0, 0, 0))
         d = make_case_decomposition(
-            g, frozenset(range(6)), frozenset(range(6)), (0, 1, 2), psi
+            g, frozenset(range(6)), frozenset(range(6)), psi
         )
-        assert d.k_u[0] >= frozenset({4, 5})
+        assert d.k_r == frozenset()
+        assert d.l_r == frozenset({6})
         assert d.removed_lr == ((6, 1),)
 
 
@@ -363,11 +356,8 @@ class TestFinalize:
     def dummy(self, **overrides):
         empty3 = (frozenset(), frozenset(), frozenset())
         base = dict(
-            k_vertices=frozenset(), cycle=(), k_c=empty3, k_u=empty3,
-            k_r=frozenset(), i_vertices=frozenset(), m_c=frozenset(),
-            m_u=empty3, m_r=frozenset(), l_c=frozenset(), l_u=empty3,
-            l_r=frozenset(), j_vertices=frozenset(), j_components=(),
-            removed_lr=(),
+            k_r=frozenset(), m_u=empty3, m_r=frozenset(), l_r=frozenset(),
+            j_vertices=frozenset(), j_components=(), removed_lr=(),
         )
         base.update(overrides)
         return CaseDecomposition(**base)
@@ -380,7 +370,7 @@ class TestFinalize:
 
     def test_removed_vertex_replays_recorded_colour(self):
         g = build_graph(3, [(0, 1), (0, 2)])
-        d = self.dummy(removed_lr=((0, 1),))
+        d = self.dummy(l_r=frozenset({0}), removed_lr=((0, 1),))
         out = finalize_extension(g, d, PartialColouring(3, (0, 2, 2)))
         assert out == (1, 2, 2)
 
@@ -394,18 +384,20 @@ class TestFinalize:
     def test_isolated_j_takes_single_class_colour(self):
         g = build_graph(2, [(0, 1)])
         d = self.dummy(
-            j_vertices=frozenset({1}), j_components=((1,),),
+            j_vertices=frozenset({1}), j_components=(((1,), (1,)),),
             m_u=(frozenset(), frozenset({9}), frozenset()),
         )
         out = finalize_extension(g, d, PartialColouring(3, (1, 0)))
         assert out == (1, 2)
 
     def test_even_j_component_gets_bipartition_palette(self):
-        # J path 1-2 attached to vertex 0 of colour 3
+        # J path 1-2 attached to vertex 0 of colour 3; its 2-colouring
+        # (1, 2) maps onto the palette (1, 2) left beside colour 3
         g = build_graph(3, [(0, 1), (0, 2), (1, 2)])
-        d = self.dummy(j_vertices=frozenset({1, 2}), j_components=((1, 2),))
+        d = self.dummy(j_vertices=frozenset({1, 2}),
+                       j_components=(((1, 2), (1, 2)),))
         out = finalize_extension(g, d, PartialColouring(3, (3, 0, 0)))
-        assert out in {(3, 1, 2), (3, 2, 1)}
+        assert out == (3, 1, 2)
 
 
 class TestCaseTwoEndToEnd:

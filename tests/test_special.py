@@ -20,6 +20,7 @@ from probe_chroma.solver import (
     NOT_COLOURABLE,
     NOT_PROBE_P5_FREE,
     SolverOptions,
+    solve_3col,
     verify_colouring,
 )
 from probe_chroma.special import (
@@ -133,6 +134,19 @@ class TestP3sP1Solver:
         v = solve_3col_p3sp1(probe_inst(g, ()), 1)
         assert v.status == NOT_PROBE_P5_FREE
         assert set(v.diagnostic["witnesses"]) <= set(range(2, 8))
+
+    def test_ladder_refuses_instead_of_saying_uncolourable(self):
+        # probes 0..19 are independent (a P3-free probe side); nonprobe
+        # 20 + j sees j, j+1, j+2.  The graph is bipartite, and nonprobe 20
+        # misses 17 > 3(s+2) probes: 0-20-1 plus probe 5 is an induced
+        # P3+P1 with 20 as its only nonprobe
+        edges = [(20 + j, j + d) for j in range(18) for d in range(3)]
+        inst = probe_inst(build_graph(38, edges), range(20, 38))
+        v = solve_3col_p3sp1(inst, 1)
+        assert v.status == NOT_PROBE_P5_FREE
+        assert v.diagnostic["claim"] == "too-many-probe-non-neighbours"
+        assert v.diagnostic["witnesses"] == [20] + list(range(3, 20))
+        assert solve_3col(inst).status == COLOURABLE
 
     def test_branching_route_with_nonprobe_cover(self):
         # star-with-path probes keep I_mis empty; nonprobe 6 forces an S pick

@@ -6,6 +6,9 @@ Two checkouts that print the same digest for the same ``--draws`` and
 
     PYTHONPATH=src python3 tests/verdict_signature.py --draws 20000
 
+After the digest come the verdict counts per (solver, status) and the
+refusal counts per (solver, claim).
+
 Each draw is a random graph (n 5-12, edge density 0.15-0.55) with a random
 independent nonprobe set.  It goes through ``solve_3col``; every fourth draw
 also goes through ``solve_3col_p3sp1`` with s = 1 or 2.  The script uses only
@@ -41,8 +44,12 @@ def draw(rng):
     return inst, rng.randint(1, 2)
 
 
-def signature(draws, seed=0):
-    """(sha256 hex digest, Counter of (solver, status)) over ``draws`` draws."""
+def signature(draws, seed=0, claims=None):
+    """(sha256 hex digest, Counter of (solver, status)) over ``draws`` draws.
+
+    A Counter passed as ``claims`` also counts the refusals by (solver,
+    claim); the digest does not depend on it.
+    """
     rng = random.Random(seed)
     digest = hashlib.sha256()
     counts = Counter()
@@ -53,6 +60,8 @@ def signature(draws, seed=0):
             runs.append(("solve_3col_p3sp1", solve_3col_p3sp1(inst, s)))
         for name, v in runs:
             counts[(name, v.status)] += 1
+            if v.diagnostic is not None and claims is not None:
+                claims[(name, v.diagnostic["claim"])] += 1
             record = (name, v.status, v.colouring, v.diagnostic,
                       v.stats.branches, v.stats.two_sat_calls)
             digest.update(repr(record).encode())
@@ -64,10 +73,14 @@ def main(argv=None):
     ap.add_argument("--draws", type=int, default=2000)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
-    hexdigest, counts = signature(args.draws, args.seed)
+    claims = Counter()
+    hexdigest, counts = signature(args.draws, args.seed, claims)
     print(hexdigest)
     for (name, status), k in sorted(counts.items()):
         print(f"{name:17s} {status:18s} {k}")
+    print("refusals by claim:")
+    for (name, claim), k in sorted(claims.items()):
+        print(f"{name:17s} {claim:29s} {k}")
 
 
 if __name__ == "__main__":
