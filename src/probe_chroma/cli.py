@@ -248,9 +248,10 @@ def _cmd_verify(args):
     inst = parse_instance(_read_text(args.instance))
     payload = json.loads(_read_text(args.colouring))
     colouring = payload.get("colouring") if isinstance(payload, dict) else payload
-    if not isinstance(colouring, list):
-        print(_error_json("input", "no colouring array in input"))
-        return EXIT_INPUT_ERROR
+    # bool is a subclass of int, so the entries' exact type is tested
+    if (not isinstance(colouring, list) or len(colouring) != inst.graph.n
+            or any(type(c) is not int for c in colouring)):
+        raise ValueError(f"no array of {inst.graph.n} integer colours in input")
     bad = verify_colouring(inst.graph, colouring)
     print(json.dumps({"ok": bad is None, "violation": bad}))
     return EXIT_COLOURABLE if bad is None else EXIT_NOT_COLOURABLE

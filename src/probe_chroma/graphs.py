@@ -54,9 +54,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def neighbours(self, v: int) -> frozenset:
-        return self.adj[v]
-
     def bitrows(self) -> tuple:
         if self._rows is None:
             self._rows = tuple([sum(1 << w for w in nbrs) for nbrs in self.adj])
@@ -215,30 +212,24 @@ def validate_probe_instance(g: Graph, probes, nonprobes, meta=None) -> ProbeInst
 
 @dataclass(frozen=True)
 class PartialColouring:
-    """Partial proper colouring; colour 0 stands for `uncoloured`."""
+    """Partial proper 3-colouring; colour 0 stands for `uncoloured`."""
 
-    k: int
     colours: tuple
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("need at least one colour")
         for c in self.colours:
-            if not 0 <= c <= self.k:
-                raise ValueError(f"colour {c} outside 0..{self.k}")
+            if not 0 <= c <= 3:
+                raise ValueError(f"colour {c} outside 0..3")
 
     @classmethod
-    def blank(cls, n: int, k: int) -> "PartialColouring":
-        return cls(k, (0,) * n)
+    def blank(cls, n: int) -> "PartialColouring":
+        return cls((0,) * n)
 
     def with_colours(self, assignment: dict) -> "PartialColouring":
         col = list(self.colours)
         for v, c in assignment.items():
             col[v] = c
-        return PartialColouring(self.k, tuple(col))
-
-    def uncoloured(self):
-        return [v for v, c in enumerate(self.colours) if c == 0]
+        return PartialColouring(tuple(col))
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from .errors import ListSizeError
 from .graphs import Graph, PartialColouring
+from .propagation import FREE, seen_masks
 
 _TRUE = ("const", True)
 _FALSE = ("const", False)
@@ -54,14 +55,12 @@ def compute_lists(g: Graph, partial: PartialColouring, skip=frozenset()) -> dict
     list longer than 2 raises :class:`ListSizeError`: the caller's
     structural guarantees were violated.
     """
-    if any(partial.colours[v] for v in skip):
-        raise ValueError("skipped vertices must be uncoloured")
+    masks = seen_masks(g, partial.colours, skip)
     lists = {}
-    for v in range(g.n):
-        if partial.colours[v] or v in skip:
+    for v, c in enumerate(partial.colours):
+        if c or v in skip:
             continue
-        seen = {partial.colours[w] for w in g.adj[v] if partial.colours[w]}
-        allowed = tuple(c for c in range(1, partial.k + 1) if c not in seen)
+        allowed = FREE[masks[v]]
         if len(allowed) > 2:
             raise ListSizeError(v, len(allowed))
         lists[v] = allowed

@@ -1,9 +1,10 @@
-"""Forced-colour propagation for partial k-colourings.
+"""Forced-colour propagation for partial 3-colourings.
 
-A vertex that sees k-1 distinct colours on its neighbours has only one
-colour left; assign it and requeue the neighbours.  Whether a conflict
-arises never depends on the processing order, and without one neither does
-the fixpoint; with one, the colouring reached and the vertex named may.
+A vertex that sees two colours on its neighbours has only one colour left;
+assign it and add it to its neighbours' seen-colour masks.  Whether a
+conflict arises never depends on the processing order, and without one
+neither does the fixpoint; with one, the colouring reached and the vertex
+named may.
 """
 
 from __future__ import annotations
@@ -14,58 +15,69 @@ from dataclasses import dataclass
 
 from .graphs import Graph, PartialColouring
 
+FREE = tuple(tuple(c for c in (1, 2, 3) if not mask >> (c - 1) & 1)
+             for mask in range(8))
+
 
 @dataclass(frozen=True)
 class Conflict:
     """Witness that the partial colouring cannot be completed greedily.
 
-    ``vertex`` sees all k colours on its closed neighbourhood: the smallest
-    such id of the fixpoint this processing order reached, which another
-    order may not reach.
+    ``vertex`` sees all three colours on its closed neighbourhood: the
+    smallest such id of the fixpoint this processing order reached, which
+    another order may not reach.
     """
 
     vertex: int
 
 
-def _seen_colours(g: Graph, colours, v):
-    return {colours[w] for w in g.adj[v] if colours[w]}
+def seen_masks(g: Graph, colours, skip=frozenset()) -> list:
+    """Per vertex, the mask of the colours on its neighbours: bit c-1 for
+    colour c, and ``FREE[mask]`` lists the colours left open, ascending.
+    Vertices in ``skip`` are treated as absent, so they must be uncoloured."""
+    if any(colours[v] for v in skip):
+        raise ValueError("skipped vertices must be uncoloured")
+    masks = [0] * g.n
+    for v, c in enumerate(colours):
+        if c:
+            bit = 1 << (c - 1)
+            for w in g.adj[v]:
+                masks[w] |= bit
+    return masks
 
 
 def propagate(g: Graph, start: PartialColouring, *, skip=frozenset(),
               scan_seed=None):
     """Run the forced-colour fixpoint; return the extended colouring or a
-    :class:`Conflict`.
+    :class:`Conflict`, a live vertex whose mask is full.
 
     Vertices in ``skip`` are treated as absent: they must be uncoloured in
     ``start`` and are never queued, coloured or checked for a conflict.
+    An open vertex is queued once, when its mask first holds two colours.
     ``scan_seed`` permutes the initial worklist order, so that tests can
     exercise the order claims of the module docstring.
     """
-    k = start.k
     colours = list(start.colours)
-    if any(colours[v] for v in skip):
-        raise ValueError("skipped vertices must be uncoloured")
-    live = [v for v in range(g.n) if v not in skip]
-    order = list(live)
+    masks = seen_masks(g, colours, skip)
+    order = [v for v in range(g.n) if v not in skip]
     if scan_seed is not None:
         random.Random(scan_seed).shuffle(order)
-    queue = deque(v for v in order if colours[v] == 0)
-    # a skipped vertex starts marked as queued and is never popped, so it is
-    # never appended either
-    queued = [colours[v] == 0 for v in range(g.n)]
+    queue = deque(v for v in order
+                  if not colours[v] and len(FREE[masks[v]]) == 1)
     while queue:
         v = queue.popleft()
-        queued[v] = False
-        # a vertex is coloured only when it is popped, so v is still open
-        seen = _seen_colours(g, colours, v)
-        if len(seen) == k - 1:
-            missing = next(c for c in range(1, k + 1) if c not in seen)
-            colours[v] = missing
-            for w in g.adj[v]:
-                if colours[w] == 0 and not queued[w]:
-                    queued[w] = True
+        free = FREE[masks[v]]
+        if not free:
+            continue  # a conflict, named by the final scan
+        colours[v] = free[0]
+        bit = 1 << (free[0] - 1)
+        for w in g.adj[v]:
+            mask = masks[w]
+            if not mask & bit:
+                masks[w] = mask = mask | bit
+                if len(FREE[mask]) == 1 and not colours[w] and w not in skip:
                     queue.append(w)
-    for v in live:
-        if len(_seen_colours(g, colours, v)) == k:
+    for v in range(g.n):
+        if not FREE[masks[v]] and v not in skip:
             return Conflict(v)
-    return PartialColouring(k, tuple(colours))
+    return PartialColouring(tuple(colours))

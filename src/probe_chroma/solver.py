@@ -32,7 +32,7 @@ from .graphs import (
 )
 from .listcol import EqualityConstraint, extend_by_2list
 from .oracles import oracle_k_colourable
-from .propagation import Conflict, propagate
+from .propagation import FREE, Conflict, propagate, seen_masks
 
 COLOURABLE = "colourable"
 NOT_COLOURABLE = "not_colourable"
@@ -96,11 +96,11 @@ class Verdict:
     stats: SolveStats
 
 
-def verify_colouring(g: Graph, colouring, k: int = 3):
-    """None when proper with colours in 1..k; otherwise the violation:
+def verify_colouring(g: Graph, colouring):
+    """None when proper with colours in 1..3; otherwise the violation:
     ("range", vertex) or ("edge", (u, v))."""
     for v, c in enumerate(colouring):
-        if not 1 <= c <= k:
+        if not 1 <= c <= 3:
             return ("range", v)
     for u, v in g.edges:
         if colouring[u] == colouring[v]:
@@ -285,7 +285,7 @@ def _probe_component_core(g, comp, probes, stats):
     crow = sum(1 << v for v in cycle)
     if any(row & crow == crow for row in g.bitrows()):
         return None
-    base = PartialColouring.blank(g.n, 3)
+    base = PartialColouring.blank(g.n)
     outside_k = frozenset(range(g.n)).difference(kverts)
     for assignment in _proper_assignments(g, cycle, base):
         stats.branches += 1
@@ -379,22 +379,18 @@ class CaseDecomposition:
 def make_case_decomposition(g: Graph, probes, k_vertices,
                             psi: PartialColouring) -> CaseDecomposition:
     """Classify every vertex by its coloured-neighbour profile under psi."""
-    cols = psi.colours
-
-    def seen(v):
-        return {cols[w] for w in g.adj[v] if cols[w]}
-
+    masks = seen_masks(g, psi.colours)
     K = frozenset(k_vertices)
     k_u = [set(), set(), set()]
     k_r = set()
     for v in K:
-        if cols[v]:
+        if psi.colours[v]:
             continue
         # psi is propagation's conflict-free fixpoint inside K, so an open
         # K vertex sees at most one colour
-        c = seen(v)
-        if c:
-            k_u[c.pop() - 1].add(v)
+        mask = masks[v]
+        if mask:
+            k_u[mask.bit_length() - 1].add(v)
         else:
             k_r.add(v)
     iverts = frozenset(probes) - K
@@ -403,14 +399,14 @@ def make_case_decomposition(g: Graph, probes, k_vertices,
     for v in range(g.n):
         if v in probes:
             continue
-        c = seen(v)
+        mask = masks[v]
         if not g.adj[v] & iverts:
-            if not c:
+            if not mask:
                 l_r.add(v)
-        elif len(c) >= 2:
+        elif mask & mask - 1:  # two colours or more
             m_c.add(v)
-        elif c:
-            m_u[c.pop() - 1].add(v)
+        elif mask:
+            m_u[mask.bit_length() - 1].add(v)
         else:
             m_r.add(v)
     j = frozenset(v for v in iverts if not g.adj[v] & m_c)
@@ -516,7 +512,7 @@ def _case2_attempt(g, decomp, seeded, stats, *, drop_j):
 
 def finalize_extension(g: Graph, decomp: CaseDecomposition,
                        partial: PartialColouring) -> tuple:
-    """Colour the removed vertices back in forced order and verify.
+    """Colour the removed vertices back in forced order.
 
     J components first (their attachments are coloured), then the removed
     L_r vertices (their K_u^i neighbours now avoid colour i), then M_r
@@ -550,14 +546,14 @@ def finalize_extension(g: Graph, decomp: CaseDecomposition,
     # K is never skipped, so every K_u^i neighbour keeps off colour i
     for v, i in decomp.removed_lr:
         colours[v] = i
+    # nonprobes are independent, so one mask pass serves all of M_r
+    masks = seen_masks(g, colours)
     for v in sorted(decomp.m_r):
-        seen = {colours[w] for w in g.adj[v] if colours[w]}
-        free = [c for c in (1, 2, 3) if c not in seen]
+        free = FREE[masks[v]]
         if not free:
             raise PromiseViolation(
                 "no-free-colour", [v],
                 "a deferred nonprobe sees all three colours",
             )
         colours[v] = free[0]
-    certify(g, colours, "final")
     return tuple(colours)

@@ -18,6 +18,7 @@ from .graphs import (
     shortest_odd_cycle,
     two_colour_components,
 )
+from .propagation import FREE, seen_masks
 from .solver import (
     SolveStats,
     SolverOptions,
@@ -127,9 +128,9 @@ def solve_3col_p3sp1(inst: ProbeInstance, s: int,
         colours = [0] * g.n
         for new, old in enumerate(hmap):
             colours[old] = rest[new]
+        masks = seen_masks(g, colours)
         for v in deleted:
-            seen = {colours[w] for w in g.adj[v]}
-            colours[v] = next(c for c in (1, 2, 3) if c not in seen)
+            colours[v] = FREE[masks[v]][0]
         return colours
 
     return run_solver(g, stats, colour)
@@ -189,7 +190,7 @@ def _case_p3free(g, probes, nprob, s, stats):
 def _first_extension(g, verts, stats):
     """Branch over the proper colourings of ``verts``; the first one that
     2-SAT completes to all of g, or None."""
-    base = PartialColouring.blank(g.n, 3)
+    base = PartialColouring.blank(g.n)
     for assignment in _proper_assignments(g, verts, base):
         stats.branches += 1
         ext = _try_extend(g, base.with_colours(assignment), (), stats)

@@ -183,6 +183,51 @@ def full_extension(g: Graph, partial, equalities=(), skip=frozenset()):
         for v, row in lists.items()})
 
 
+def _seen_colours(g: Graph, colours, v):
+    return {colours[w] for w in g.adj[v] if colours[w]}
+
+
+def set_propagate(g: Graph, start, skip=frozenset()):
+    """Set-based reference for ``propagation.propagate``: every open live
+    vertex is rescanned whenever a neighbour gets a colour."""
+    from collections import deque
+
+    from probe_chroma.propagation import Conflict
+
+    colours = list(start.colours)
+    if any(colours[v] for v in skip):
+        raise ValueError("skipped vertices must be uncoloured")
+    live = [v for v in range(g.n) if v not in skip]
+    queue = deque(v for v in live if colours[v] == 0)
+    queued = [colours[v] == 0 for v in range(g.n)]
+    while queue:
+        v = queue.popleft()
+        queued[v] = False
+        seen = _seen_colours(g, colours, v)
+        if len(seen) == 2:
+            colours[v] = next(c for c in (1, 2, 3) if c not in seen)
+            for w in g.adj[v]:
+                if colours[w] == 0 and not queued[w]:
+                    queued[w] = True
+                    queue.append(w)
+    for v in live:
+        if len(_seen_colours(g, colours, v)) == 3:
+            return Conflict(v)
+    return PartialColouring(tuple(colours))
+
+
+def set_lists(g: Graph, partial, skip=frozenset()):
+    """Set-based reference for ``listcol.compute_lists``, without its
+    list-size check: every open vertex outside ``skip`` and its list."""
+    lists = {}
+    for v in range(g.n):
+        if partial.colours[v] or v in skip:
+            continue
+        seen = _seen_colours(g, partial.colours, v)
+        lists[v] = tuple(c for c in (1, 2, 3) if c not in seen)
+    return lists
+
+
 def exact_cover_exists(universe, collection) -> bool:
     target = frozenset(universe)
 
@@ -286,14 +331,14 @@ def skip_cases(count, seed):
                 colours[v] = rng.choice(sorted(free))
         skip = frozenset(
             v for v in range(n) if not colours[v] and rng.random() < 0.4)
-        yield g, PartialColouring(3, tuple(colours)), skip
+        yield g, PartialColouring(tuple(colours)), skip
 
 
 def without(g: Graph, partial, skip):
     """The copy of g without ``skip``, ``partial`` restricted to it and the
     new-to-old id map."""
     sub, back = induced_subgraph(g, [v for v in range(g.n) if v not in skip])
-    rest = PartialColouring(partial.k, tuple(partial.colours[v] for v in back))
+    rest = PartialColouring(tuple(partial.colours[v] for v in back))
     return sub, rest, back
 
 
@@ -305,4 +350,4 @@ def map_back(n, partial, back):
     colours = [0] * n
     for new, old in enumerate(back):
         colours[old] = partial.colours[new]
-    return PartialColouring(partial.k, tuple(colours))
+    return PartialColouring(tuple(colours))

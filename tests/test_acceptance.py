@@ -153,7 +153,7 @@ def test_4_propagation_oracle(capsys):
                 free = {1, 2, 3} - {colours[u] for u in g.adj[v]}
                 if free:
                     colours[v] = rng.choice(sorted(free))
-            start = PartialColouring(3, tuple(colours))
+            start = PartialColouring(tuple(colours))
             out = propagate(g, start)
             if isinstance(out, Conflict):
                 assert not list(helpers.brute_extensions(g, start.colours, 3))

@@ -33,6 +33,8 @@ e 3 4
 e 4 0
 """
 
+P3_TEXT = "probe-graph 3\nv 0 P\nv 1 P\nv 2 P\ne 0 1\ne 1 2\n"
+
 C7_TEXT = "probe-graph 7\n" + "".join(
     f"v {i} P\n" for i in range(7)
 ) + "".join(f"e {i} {(i + 1) % 7}\n" for i in range(7))
@@ -178,6 +180,24 @@ class TestVerifyCommand:
         rc = main(["verify", write(tmp_path, "x.json", '{"status": "x"}'), inst_path])
         capsys.readouterr()
         assert rc == EXIT_INPUT_ERROR
+
+    @pytest.mark.parametrize("colouring", [
+        "[1, 2, 1, 3]", "[1, 2]", "[1.5, 2, 1]", '["a", 2, 1]', "[true, 2, 1]",
+    ])
+    def test_wrong_length_or_non_integer_is_an_input_error(
+            self, tmp_path, capsys, colouring):
+        inst_path = write(tmp_path, "p3.txt", P3_TEXT)
+        rc = main(["verify", write(tmp_path, "c.json", colouring), inst_path])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == EXIT_INPUT_ERROR
+        assert out["diagnostic"]["kind"] == "input"
+
+    def test_integer_out_of_range_is_a_violation(self, tmp_path, capsys):
+        inst_path = write(tmp_path, "p3.txt", P3_TEXT)
+        rc = main(["verify", write(tmp_path, "c.json", "[1, 2, 4]"), inst_path])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == EXIT_NOT_COLOURABLE
+        assert out == {"ok": False, "violation": ["range", 2]}
 
 
 class TestGenCommand:

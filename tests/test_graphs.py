@@ -338,8 +338,13 @@ class TestSplitPartition:
 class TestPartialColouring:
     def test_with_colours_and_proper(self):
         g = path_graph(3)
-        base = PartialColouring.blank(3, 3)
+        base = PartialColouring.blank(3)
         pc = base.with_colours({0: 1, 1: 2})
-        assert pc.colours[0] == 1 and pc.uncoloured() == [2]
+        assert pc.colours[0] == 1 and pc.colours[2] == 0
         assert helpers.is_proper_on(g, pc)
         assert not helpers.is_proper_on(g, base.with_colours({0: 1, 1: 1}))
+
+    @pytest.mark.parametrize("colours", [(0, 4), (-1, 1)])
+    def test_colours_outside_0_to_3_rejected(self, colours):
+        with pytest.raises(ValueError):
+            PartialColouring(colours)

@@ -56,24 +56,24 @@ class TestTwoSat:
 class TestLists:
     def test_open_lists_on_cycle(self):
         g = cycle_graph(5)
-        lists = compute_lists(g, PartialColouring(3, (1, 2, 1, 0, 0)))
+        lists = compute_lists(g, PartialColouring((1, 2, 1, 0, 0)))
         assert lists == {3: (2, 3), 4: (2, 3)}
 
     def test_all_coloured_means_no_vars(self):
         g = path_graph(3)
-        f = build_list_formula(g, PartialColouring(3, (1, 2, 1)))
+        f = build_list_formula(g, PartialColouring((1, 2, 1)))
         assert f.num_vars == 0 and not f.unsat
 
     def test_list_overflow_names_vertex(self):
         g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
         with pytest.raises(ListSizeError) as e:
-            compute_lists(g, PartialColouring.blank(3, 3))
+            compute_lists(g, PartialColouring.blank(3))
         assert e.value.vertex == 0
         assert e.value.list_size == 3
 
     def test_formula_var_count_is_total_list_size(self):
         g = cycle_graph(5)
-        f = build_list_formula(g, PartialColouring(3, (1, 2, 1, 0, 0)))
+        f = build_list_formula(g, PartialColouring((1, 2, 1, 0, 0)))
         assert f.num_vars == sum(len(row) for row in f.lists.values())
         assert f.num_vars == 4
 
@@ -81,29 +81,30 @@ class TestLists:
 class TestExtend:
     def test_cycle_last_vertex_forced(self):
         g = cycle_graph(5)
-        out = extend_by_2list(g, PartialColouring(3, (1, 2, 1, 2, 0)))
+        out = extend_by_2list(g, PartialColouring((1, 2, 1, 2, 0)))
         assert out.colours == (1, 2, 1, 2, 3)
 
     def test_adjacent_singleton_lists_clash(self):
         g = complete_graph(4)
-        out = extend_by_2list(g, PartialColouring(3, (2, 3, 0, 0)))
+        out = extend_by_2list(g, PartialColouring((2, 3, 0, 0)))
         assert out is None
 
     def test_equal_colours_on_an_edge_impossible(self):
-        g = path_graph(2)
+        # vertex 2 of colour 3 leaves the edge 0-1 the lists (1, 2)
+        g = complete_graph(3)
         eq = EqualityConstraint((0, 1), (1, 2))
-        assert extend_by_2list(g, PartialColouring.blank(2, 2), [eq]) is None
+        assert extend_by_2list(g, PartialColouring((0, 0, 3)), [eq]) is None
 
     def test_cycle_two_open_vertices(self):
         g = cycle_graph(5)
-        out = extend_by_2list(g, PartialColouring(3, (1, 2, 1, 0, 0)))
+        out = extend_by_2list(g, PartialColouring((1, 2, 1, 0, 0)))
         assert out is not None
         assert (out.colours[3], out.colours[4]) in {(2, 3), (3, 2)}
 
     def test_chain_over_shared_open_list(self):
         # u and w both see only colour 1, so their lists are (2, 3)
         g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        partial = PartialColouring(3, (1, 0, 1, 0, 1))
+        partial = PartialColouring((1, 0, 1, 0, 1))
         eq = EqualityConstraint((1, 3), (2, 3))
         out = extend_by_2list(g, partial, [eq])
         assert out is not None
@@ -112,7 +113,7 @@ class TestExtend:
     def test_chain_against_an_edge(self):
         # same shared (2, 3) lists, but the chained pair is adjacent
         g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
-        partial = PartialColouring(3, (1, 0, 0, 1))
+        partial = PartialColouring((1, 0, 0, 1))
         eq = EqualityConstraint((1, 2), (2, 3))
         assert extend_by_2list(g, partial, [eq]) is None
 
@@ -139,7 +140,7 @@ def _case(n, eseed, p, cseed, qseed):
         verts = tuple(qrng.sample(range(n), size))
         # full palette: a coupling never narrower than any member's open list
         groups.append(EqualityConstraint(verts, (1, 2, 3)))
-    return g, PartialColouring(3, tuple(colours)), groups
+    return g, PartialColouring(tuple(colours)), groups
 
 
 def _brute_list_solutions(g, partial, lists, groups):
@@ -175,6 +176,33 @@ class TestExtendAgainstBrute:
             assert out.colours in brute
 
 
+class TestListsAgainstSetReference:
+    """The lists read off the seen-colour masks are the per-vertex set ones;
+    the first vertex with three open colours is the one named."""
+
+    @staticmethod
+    def check(g, partial, skip=frozenset()):
+        want = helpers.set_lists(g, partial, skip)
+        too_long = [v for v, row in want.items() if len(row) > 2]
+        if too_long:
+            with pytest.raises(ListSizeError) as e:
+                compute_lists(g, partial, skip)
+            assert e.value.vertex == too_long[0]
+            return False
+        assert compute_lists(g, partial, skip) == want
+        return True
+
+    @given(cases)
+    def test_random_partial_colourings(self, case):
+        g, partial, _ = case
+        self.check(g, partial)
+
+    def test_skip_cases(self):
+        listed = sum(self.check(g, partial, skip)
+                     for g, partial, skip in helpers.skip_cases(400, 14))
+        assert 0 < listed < 400
+
+
 class TestSkip:
     def test_matches_the_copy_without_skip(self):
         outcomes = set()
@@ -194,13 +222,13 @@ class TestSkip:
 
     def test_skipped_vertex_seeing_three_colours_stays_blank(self):
         g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
-        start = PartialColouring(3, (0, 1, 2, 3))
+        start = PartialColouring((0, 1, 2, 3))
         assert extend_by_2list(g, start) is None
         assert extend_by_2list(g, start, (), {0}) == start
 
     def test_coloured_skip_vertex_rejected(self):
         with pytest.raises(ValueError):
-            compute_lists(path_graph(3), PartialColouring(3, (0, 2, 0)), {1})
+            compute_lists(path_graph(3), PartialColouring((0, 2, 0)), {1})
 
 
 class TestTiedVertices:
@@ -248,7 +276,7 @@ class TestTiedVertices:
     def test_untied_two_list_vertex_takes_its_least_colour(self):
         # 0 sees colour 1 (list 2, 3); its listed neighbour 1 sees 2 and 3
         g = build_graph(5, [(0, 1), (0, 2), (1, 3), (1, 4)])
-        partial = PartialColouring(3, (0, 0, 1, 2, 3))
+        partial = PartialColouring((0, 0, 1, 2, 3))
         f = build_list_formula(g, partial)
         assert f.lists == {0: (2, 3), 1: (1,)}
         assert f.num_vars == 0 and f.var_of == {} and f.clauses == ()
@@ -256,7 +284,7 @@ class TestTiedVertices:
 
     def test_adjacent_same_colour_singletons_stay_unsatisfiable(self):
         g = complete_graph(4)
-        partial = PartialColouring(3, (2, 3, 0, 0))
+        partial = PartialColouring((2, 3, 0, 0))
         f = build_list_formula(g, partial)
         assert f.lists == {2: (1,), 3: (1,)}
         assert f.var_of == {(2, 1): 0, (3, 1): 1}
@@ -264,7 +292,7 @@ class TestTiedVertices:
 
     def test_vertex_tied_only_by_an_equality_gets_variables(self):
         g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        partial = PartialColouring(3, (1, 0, 1, 0, 1))
+        partial = PartialColouring((1, 0, 1, 0, 1))
         assert build_list_formula(g, partial).num_vars == 0
         eq = EqualityConstraint((1, 3), (2, 3))
         f = build_list_formula(g, partial, [eq])

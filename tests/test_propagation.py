@@ -8,8 +8,8 @@ from probe_chroma.graphs import PartialColouring, build_graph, path_graph
 from probe_chroma.propagation import Conflict, propagate
 
 
-def seeded(g, assignment, k=3):
-    return PartialColouring.blank(g.n, k).with_colours(assignment)
+def seeded(g, assignment):
+    return PartialColouring.blank(g.n).with_colours(assignment)
 
 
 def coloured_set(pc):
@@ -48,7 +48,7 @@ def _graph_and_seed(n, eseed, p, cseed):
         free = {1, 2, 3} - {colours[w] for w in g.adj[v]}
         if free:
             colours[v] = rng.choice(sorted(free))
-    return g, PartialColouring(3, tuple(colours))
+    return g, PartialColouring(tuple(colours))
 
 
 class TestSoundness:
@@ -139,3 +139,25 @@ class TestSkip:
         g = path_graph(3)
         with pytest.raises(ValueError):
             propagate(g, seeded(g, {1: 2}), skip={1})
+
+
+class TestAgainstSetReference:
+    """The seen-colour masks give what per-vertex colour sets gave."""
+
+    @staticmethod
+    def check(g, start, skip=frozenset()):
+        out = propagate(g, start, skip=skip)
+        want = helpers.set_propagate(g, start, skip)
+        assert isinstance(out, Conflict) == isinstance(want, Conflict)
+        if not isinstance(want, Conflict):
+            assert out == want
+        return isinstance(want, Conflict)
+
+    @given(proper_seeds)
+    def test_random_partial_colourings(self, case):
+        self.check(*case)
+
+    def test_skip_cases(self):
+        conflicts = sum(self.check(g, start, skip)
+                        for g, start, skip in helpers.skip_cases(400, 13))
+        assert 0 < conflicts < 400

@@ -294,7 +294,7 @@ class TestCaseDecomposition:
         g = build_graph(7, [(0, 1), (1, 2), (0, 2), (0, 3), (0, 4), (1, 4),
                             (3, 5), (3, 6)])
         probes = frozenset({0, 1, 2, 3, 6})
-        psi = PartialColouring(3, (1, 2, 3, 0, 0, 0, 0))
+        psi = PartialColouring((1, 2, 3, 0, 0, 0, 0))
         return g, make_case_decomposition(g, probes, probes, psi)
 
     def test_k_classes(self):
@@ -316,7 +316,7 @@ class TestCaseDecomposition:
         g = build_graph(
             7, [(0, 1), (1, 2), (0, 2), (3, 4), (3, 5), (0, 5), (0, 6)]
         )
-        psi = PartialColouring(3, (1, 2, 3, 0, 0, 0, 0))
+        psi = PartialColouring((1, 2, 3, 0, 0, 0, 0))
         d = make_case_decomposition(
             g, frozenset(range(5)), frozenset({0, 1, 2}), psi
         )
@@ -330,7 +330,7 @@ class TestCaseDecomposition:
         g = build_graph(
             7, [(0, 1), (1, 2), (0, 2), (4, 5), (4, 6), (0, 6), (1, 6), (3, 6)]
         )
-        psi = PartialColouring(3, (1, 2, 3, 0, 0, 0, 0))
+        psi = PartialColouring((1, 2, 3, 0, 0, 0, 0))
         with pytest.raises(PromiseViolation) as e:
             make_case_decomposition(
                 g, frozenset(range(6)), frozenset({0, 1, 2}), psi
@@ -343,7 +343,7 @@ class TestCaseDecomposition:
         g = build_graph(
             7, [(0, 1), (1, 2), (0, 2), (0, 4), (0, 5), (4, 6), (5, 6), (3, 0)]
         )
-        psi = PartialColouring(3, (1, 2, 3, 0, 0, 0, 0))
+        psi = PartialColouring((1, 2, 3, 0, 0, 0, 0))
         d = make_case_decomposition(
             g, frozenset(range(6)), frozenset(range(6)), psi
         )
@@ -365,20 +365,20 @@ class TestFinalize:
     def test_deferred_nonprobe_takes_remaining_colour(self):
         g = build_graph(3, [(0, 1), (0, 2)])
         d = self.dummy(m_r=frozenset({0}))
-        out = finalize_extension(g, d, PartialColouring(3, (0, 1, 2)))
+        out = finalize_extension(g, d, PartialColouring((0, 1, 2)))
         assert out == (3, 1, 2)
 
     def test_removed_vertex_replays_recorded_colour(self):
         g = build_graph(3, [(0, 1), (0, 2)])
         d = self.dummy(l_r=frozenset({0}), removed_lr=((0, 1),))
-        out = finalize_extension(g, d, PartialColouring(3, (0, 2, 2)))
+        out = finalize_extension(g, d, PartialColouring((0, 2, 2)))
         assert out == (1, 2, 2)
 
     def test_saturated_nonprobe_breaks_promise(self):
         g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
         d = self.dummy(m_r=frozenset({0}))
         with pytest.raises(PromiseViolation) as e:
-            finalize_extension(g, d, PartialColouring(3, (0, 1, 2, 3)))
+            finalize_extension(g, d, PartialColouring((0, 1, 2, 3)))
         assert e.value.claim == "no-free-colour"
 
     def test_isolated_j_takes_single_class_colour(self):
@@ -387,7 +387,7 @@ class TestFinalize:
             j_vertices=frozenset({1}), j_components=(((1,), (1,)),),
             m_u=(frozenset(), frozenset({9}), frozenset()),
         )
-        out = finalize_extension(g, d, PartialColouring(3, (1, 0)))
+        out = finalize_extension(g, d, PartialColouring((1, 0)))
         assert out == (1, 2)
 
     def test_even_j_component_gets_bipartition_palette(self):
@@ -396,7 +396,7 @@ class TestFinalize:
         g = build_graph(3, [(0, 1), (0, 2), (1, 2)])
         d = self.dummy(j_vertices=frozenset({1, 2}),
                        j_components=(((1, 2), (1, 2)),))
-        out = finalize_extension(g, d, PartialColouring(3, (3, 0, 0)))
+        out = finalize_extension(g, d, PartialColouring((3, 0, 0)))
         assert out == (3, 1, 2)
 
 
@@ -670,7 +670,7 @@ class TestProperAssignments:
             if free:
                 colours[v] = rng.choice(sorted(free))
         verts = rng.sample(range(n), rng.randint(0, min(n, 6)))
-        return g, PartialColouring(3, tuple(colours)), tuple(verts)
+        return g, PartialColouring(tuple(colours)), tuple(verts)
 
     def test_matches_product_and_filter(self):
         rng = random.Random(2024)
@@ -686,12 +686,12 @@ class TestProperAssignments:
 
     def test_clashing_fixed_vertices_yield_nothing(self):
         g = path_graph(3)
-        base = PartialColouring(3, (2, 2, 0))
+        base = PartialColouring((2, 2, 0))
         assert list(_proper_assignments(g, (0, 1, 2), base)) == []
         assert list(_proper_assignments(g, (2, 1, 0), base)) == []
 
     def test_order_follows_the_given_vertices(self):
-        base = PartialColouring.blank(3, 3)
+        base = PartialColouring.blank(3)
         out = list(_proper_assignments(triangle, (2, 0, 1), base))
         assert out[0] == {2: 1, 0: 2, 1: 3}
         assert out[1] == {2: 1, 0: 3, 1: 2}
