@@ -215,11 +215,14 @@ class PartialColouring:
     """Partial proper 3-colouring; colour 0 stands for `uncoloured`."""
 
     colours: tuple
+    _VALID = frozenset(range(4))
 
     def __post_init__(self):
-        for c in self.colours:
-            if not 0 <= c <= 3:
-                raise ValueError(f"colour {c} outside 0..3")
+        # one C-level set test; the loop runs only to name the bad colour
+        if not self._VALID.issuperset(self.colours):
+            for c in self.colours:
+                if not 0 <= c <= 3:
+                    raise ValueError(f"colour {c} outside 0..3")
 
     @classmethod
     def blank(cls, n: int) -> "PartialColouring":
@@ -374,18 +377,31 @@ def iter_bits(row: int):
         row ^= low
 
 
-def find_k4(g: Graph):
-    """Some 4-clique as an ascending tuple, or None."""
+def twin_representatives(g: Graph, vertices) -> tuple:
+    """The least member of each class of false twins (equal rows of g)
+    among ``vertices``, ascending."""
+    rows = g.bitrows()
+    first = {}
+    for v in sorted(vertices):
+        first.setdefault(rows[v], v)
+    return tuple(first.values())
+
+
+def find_k4(g: Graph, *, within=None):
+    """Some 4-clique as an ascending tuple, or None; with a vertex set
+    ``within``, one with an edge inside ``within``, or None if none has."""
     if g.n < 4:
         return None
     rows = g.bitrows()
-    for u, v in g.edges:
-        common = rows[u] & rows[v]
-        for w in iter_bits(common):
-            hit = common & rows[w]
-            if hit:
-                x = (hit & -hit).bit_length() - 1
-                return tuple(sorted((u, v, w, x)))
+    mask = (1 << g.n) - 1 if within is None else sum(1 << v for v in set(within))
+    for u in iter_bits(mask):
+        for v in iter_bits(rows[u] & mask & (-1 << (u + 1))):
+            common = rows[u] & rows[v]
+            for w in iter_bits(common):
+                hit = common & rows[w]
+                if hit:
+                    x = (hit & -hit).bit_length() - 1
+                    return tuple(sorted((u, v, w, x)))
     return None
 
 

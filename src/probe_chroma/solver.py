@@ -14,6 +14,8 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import and_, or_
 
 from .errors import ListSizeError, PromiseViolation
 from .graphs import (
@@ -28,6 +30,7 @@ from .graphs import (
     iter_bits,
     pattern_graph,
     shortest_odd_cycle,
+    twin_representatives,
     two_colour_components,
 )
 from .listcol import EqualityConstraint, extend_by_2list
@@ -197,7 +200,8 @@ def solve_3col(inst: ProbeInstance, opts: SolverOptions | None = None) -> Verdic
     ``COMPONENT_TWO_SAT_BUDGET`` 2-SAT rounds.
 
     The only exception that escapes is :class:`CapabilityError`: its
-    subclass ``SearchBudgetExceeded`` when the induced-C5 search passes
+    subclass ``SearchBudgetExceeded`` when the induced-C5 search, which
+    runs on one vertex per false-twin class, passes
     ``C5_SEARCH_NODE_BUDGET`` nodes, or the brute-force cap of
     ``oracle_k_colourable`` when ``opts.oracle_fallback`` re-solves a
     refused component of more than 30 vertices.
@@ -277,13 +281,15 @@ def _probe_component_core(g, comp, probes, stats):
     # ids of the copy are positions in comp
     kverts = tuple([bisect_left(comp, v) for v in odd[0]])
     g, probes = component_copy(g, comp, probes)
-    # nonprobes are independent, so a K4 holds a triangle of K
-    if find_k4(g) is not None:
+    # nonprobes are independent, so a K4 holds a triangle of K; no K4 holds
+    # two false twins, so one of each class of K stands in for the rest
+    reps = twin_representatives(g, kverts)
+    if find_k4(g, within=reps) is not None:
         return None
-    cycle = pick_reference_cycle(g, kverts)
-    # a row never holds its own bit, so only vertices off the cycle can match
-    crow = sum(1 << v for v in cycle)
-    if any(row & crow == crow for row in g.bitrows()):
+    cycle = pick_reference_cycle(g, kverts, reps)
+    # rows omit their own bit, so the cycle's rows meet in the vertices complete to it
+    rows = g.bitrows()
+    if reduce(and_, [rows[v] for v in cycle]):
         return None
     base = PartialColouring.blank(g.n)
     outside_k = frozenset(range(g.n)).difference(kverts)
@@ -313,12 +319,16 @@ def _propagate_and_extend(g, start, stats, skip=frozenset(), equalities=()):
     return _try_extend(g, res, equalities, stats, skip)
 
 
-def pick_reference_cycle(g: Graph, kverts) -> tuple:
+def pick_reference_cycle(g: Graph, kverts, reps=None) -> tuple:
     """Reference cycle of the non-bipartite probe component ``kverts`` of g.
 
-    Searched in g under the vertex mask of ``kverts``.  Preference order:
-    lexicographically least induced C5; else the least triangle dominating
-    the component; else the least triangle.  A non-bipartite component with
+    Preference order: lexicographically least induced C5; else the least
+    triangle dominating the component; else the least triangle.  Each is
+    searched in g under the vertex mask of ``reps``, the
+    :func:`twin_representatives` of ``kverts`` when not given: putting a
+    smaller false twin in place of a vertex keeps a C5 induced and a
+    triangle dominating, and lowers it, so the least one holds only the
+    least member of each twin class.  A non-bipartite component with
     neither (odd girth 7 or more) cannot be probe P5-free; its witness is
     the shortest odd cycle of the copy G[K], because
     :func:`shortest_odd_cycle` breaks ties by adjacency-set order, which
@@ -326,15 +336,18 @@ def pick_reference_cycle(g: Graph, kverts) -> tuple:
     The C5 search gives up past ``C5_SEARCH_NODE_BUDGET`` nodes with
     :class:`SearchBudgetExceeded`.
     """
-    emb = find_induced_subgraph(g, _C5, within=kverts,
+    if reps is None:
+        reps = twin_representatives(g, kverts)
+    emb = find_induced_subgraph(g, _C5, within=reps,
                                 node_budget=C5_SEARCH_NODE_BUDGET)
     if emb is not None:
         return _canonical_cycle(list(emb.image))
     rows = g.bitrows()
     kmask = sum(1 << v for v in set(kverts))
+    rmask = sum(1 << v for v in reps)
     first_tri = None
-    for u in iter_bits(kmask):
-        ku = rows[u] & kmask
+    for u in iter_bits(rmask):
+        ku = rows[u] & rmask
         for v in iter_bits(ku & (-1 << (u + 1))):
             for w in iter_bits(ku & rows[v] & (-1 << (v + 1))):
                 tri = (u, v, w)
@@ -546,10 +559,10 @@ def finalize_extension(g: Graph, decomp: CaseDecomposition,
     # K is never skipped, so every K_u^i neighbour keeps off colour i
     for v, i in decomp.removed_lr:
         colours[v] = i
-    # nonprobes are independent, so one mask pass serves all of M_r
-    masks = seen_masks(g, colours)
+    # nonprobes are independent, so colouring one M_r vertex leaves the
+    # others' masks alone; bit c-1 for colour c, as in seen_masks
     for v in sorted(decomp.m_r):
-        free = FREE[masks[v]]
+        free = FREE[reduce(or_, [1 << colours[w] >> 1 for w in g.adj[v]], 0)]
         if not free:
             raise PromiseViolation(
                 "no-free-colour", [v],

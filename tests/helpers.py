@@ -5,7 +5,16 @@ from __future__ import annotations
 import itertools
 import random
 
-from probe_chroma.graphs import Graph, PartialColouring, build_graph, induced_subgraph
+from probe_chroma.graphs import (
+    Graph,
+    PartialColouring,
+    _canonical_cycle,
+    build_graph,
+    find_induced_subgraph,
+    induced_subgraph,
+    iter_bits,
+    shortest_odd_cycle,
+)
 
 
 def random_graph(n, p, rng):
@@ -226,6 +235,86 @@ def set_lists(g: Graph, partial, skip=frozenset()):
         seen = _seen_colours(g, partial.colours, v)
         lists[v] = tuple(c for c in (1, 2, 3) if c not in seen)
     return lists
+
+
+def whole_k4(g: Graph):
+    """Reference for the K4 test on twin representatives: the scan over
+    every edge of g; some 4-clique as an ascending tuple, or None."""
+    rows = g.bitrows()
+    for u, v in g.edges:
+        common = rows[u] & rows[v]
+        for w in iter_bits(common):
+            hit = common & rows[w]
+            if hit:
+                x = (hit & -hit).bit_length() - 1
+                return tuple(sorted((u, v, w, x)))
+    return None
+
+
+def whole_k_reference_cycle(g: Graph, kverts) -> tuple:
+    """Reference for ``solver.pick_reference_cycle``: the C5 search under
+    the mask of all of ``kverts`` and the triangle scan over all of K."""
+    from probe_chroma.errors import PromiseViolation
+    from probe_chroma.solver import _C5, C5_SEARCH_NODE_BUDGET
+
+    emb = find_induced_subgraph(g, _C5, within=kverts,
+                                node_budget=C5_SEARCH_NODE_BUDGET)
+    if emb is not None:
+        return _canonical_cycle(list(emb.image))
+    rows = g.bitrows()
+    kmask = sum(1 << v for v in set(kverts))
+    first_tri = None
+    for u in iter_bits(kmask):
+        ku = rows[u] & kmask
+        for v in iter_bits(ku & (-1 << (u + 1))):
+            for w in iter_bits(ku & rows[v] & (-1 << (v + 1))):
+                tri = (u, v, w)
+                if first_tri is None:
+                    first_tri = tri
+                cover = rows[u] | rows[v] | rows[w] | 1 << u | 1 << v | 1 << w
+                if cover & kmask == kmask:
+                    return tri
+    if first_tri is not None:
+        return first_tri
+    gk, kmap = induced_subgraph(g, kverts)
+    cyc = shortest_odd_cycle(gk)
+    if cyc is None:
+        raise ValueError("reference cycle requires a non-bipartite graph")
+    raise PromiseViolation(
+        "long-induced-odd-cycle", [kmap[v] for v in cyc],
+        f"shortest odd cycle has length {len(cyc)}; only 3 or 5 can occur",
+    )
+
+
+def twin_draw(rng):
+    """A random graph (n 5-12) in which 1-3 vertices are blown up into 2-4
+    non-adjacent copies, with a random independent nonprobe set: some of
+    the drawn vertices, plus 0-3 added nonprobes joined to each probe at
+    random, so that copies can differ on their nonprobe neighbours.
+    Vertex ids are shuffled; returns the graph and its nonprobe set."""
+    n = rng.randint(5, 12)
+    base = random_graph(n, rng.uniform(0.2, 0.7), rng)
+    blown = set(rng.sample(range(n), rng.randint(1, 3)))
+    ids, size = [], 0
+    for v in range(n):
+        k = rng.randint(2, 4) if v in blown else 1
+        ids.append(range(size, size + k))
+        size += k
+    blowup = build_graph(size, [(a, b) for u, v in base.edges
+                                for a in ids[u] for b in ids[v]])
+    nonprobes = set()
+    for v in rng.sample(range(size), size):
+        if rng.random() < 0.3 and not blowup.adj[v] & nonprobes:
+            nonprobes.add(v)
+    probes = [v for v in range(size) if v not in nonprobes]
+    edges = list(blowup.edges)
+    extra = rng.randint(0, 3)
+    for x in range(size, size + extra):
+        edges += [(v, x) for v in probes if rng.random() < 0.3]
+        nonprobes.add(x)
+    perm = shuffled_permutation(size + extra, rng)
+    g = build_graph(size + extra, [(perm[a], perm[b]) for a, b in edges])
+    return g, frozenset(perm[v] for v in nonprobes)
 
 
 def exact_cover_exists(universe, collection) -> bool:

@@ -12,16 +12,25 @@ import pytest
 
 import helpers
 from probe_chroma.errors import PromiseViolation
-from probe_chroma.generators import gen_precolext_reduction, gen_probe_instance
+from probe_chroma.generators import (
+    gen_p5free_host,
+    gen_precolext_reduction,
+    gen_probe_instance,
+)
 from probe_chroma.graphs import (
     PartialColouring,
     build_graph,
     complete_graph,
+    complete_multipartite_graph,
+    connected_components,
     cycle_graph,
     disjoint_union,
+    find_k4,
     induced_subgraph,
     path_graph,
     pattern_graph,
+    twin_representatives,
+    two_colour_components,
     validate_probe_instance,
 )
 from probe_chroma.oracles import oracle_is_probe_hfree, oracle_k_colourable
@@ -176,6 +185,26 @@ class TestP5FreeSolver:
         assert v.status == COLOURABLE
         assert verify_colouring(g, v.colouring) is None
 
+    def test_p4_blowup_with_hub(self):
+        # parts A-B-C-D of 100, complete between consecutive parts, and a
+        # hub complete to A and B: C5-free, so the C5 search sees every
+        # vertex of K unless it runs on one vertex per twin class
+        a = 100
+        edges = [(i * a + x, (i + 1) * a + y)
+                 for i in range(3) for x in range(a) for y in range(a)]
+        edges += [(v, 4 * a) for v in range(2 * a)]
+        g = build_graph(4 * a + 1, edges)
+        assert (g.n, g.m) == (401, 30_200)
+        inst = all_probe(g)
+        assert_colourable(inst, solve_3col(inst))
+
+    def test_complete_tripartite(self):
+        # the K4 test over every edge takes 67,500 x 150 common-neighbour
+        # steps; over the three twin classes, 3 x 150
+        g = complete_multipartite_graph([150] * 3)
+        inst = all_probe(g)
+        assert_colourable(inst, solve_3col(inst))
+
 
 class TestReferenceCycle:
     def test_five_cycle_is_its_own_reference(self):
@@ -262,6 +291,67 @@ class TestReferenceCycle:
             seen[got if isinstance(got, str) else
                  got[0] if isinstance(got[0], str) else len(got)] += 1
         assert set(seen) == {3, 5, "bipartite", "long-induced-odd-cycle"}
+
+
+def _refusal_or(pick, *args):
+    try:
+        return pick(*args)
+    except PromiseViolation as pv:
+        return pv.claim, tuple(pv.witnesses)
+
+
+class TestTwinScreens:
+    """The K4 test and the reference cycle run on the least member of each
+    false-twin class of K, and agree with the whole-K screens they replace
+    (kept in helpers) on graphs with planted twins."""
+
+    @staticmethod
+    def draws():
+        rng = random.Random(12)
+        for _ in range(2400):
+            yield helpers.twin_draw(rng)
+        for seed in range(600):
+            g = gen_p5free_host(rng.randint(5, 14), rng.uniform(0.3, 0.7), seed)
+            nonprobes = set()
+            for v in rng.sample(range(g.n), g.n):
+                if rng.random() < 0.3 and not g.adj[v] & nonprobes:
+                    nonprobes.add(v)
+            yield g, nonprobes
+
+    @staticmethod
+    def odd_component(g, nonprobes):
+        """The component of g around its only odd probe component K, as a
+        copy, with K in the copy's ids; None unless exactly one is odd."""
+        parts = two_colour_components(
+            g, [v for v in range(g.n) if v not in nonprobes])
+        odd = [part for part, cols in parts if cols is None]
+        if len(odd) != 1:
+            return None
+        comp = next(c for c in connected_components(g) if odd[0][0] in c)
+        sub, back = induced_subgraph(g, comp)
+        return sub, tuple(back.index(v) for v in odd[0])
+
+    def test_match_the_whole_k_screens(self):
+        seen = collections.Counter()
+        for g, nonprobes in self.draws():
+            found = self.odd_component(g, nonprobes)
+            if found is None:
+                continue
+            sub, kverts = found
+            reps = twin_representatives(sub, kverts)
+            k4 = find_k4(sub, within=reps) is not None
+            assert k4 == (helpers.whole_k4(sub) is not None)
+            want = _refusal_or(helpers.whole_k_reference_cycle, sub, kverts)
+            got = _refusal_or(pick_reference_cycle, sub, kverts, reps)
+            assert got == want
+            seen["draws"] += 1
+            seen["twins"] += len(reps) < len(kverts)
+            seen["k4"] += k4
+            seen[want[0] if isinstance(want[0], str) else len(want)] += 1
+        assert seen["draws"] >= 2000 and seen["twins"] >= 1000
+        assert 500 <= seen["k4"] <= seen["draws"] - 500
+        assert seen[3] >= 500 and seen[5] >= 300
+        assert seen["long-induced-odd-cycle"] >= 1
 
 
 class TestDominatingPair:
@@ -709,9 +799,9 @@ class TestK4TestPlacement:
         calls = []
         real = solver.find_k4
 
-        def counted(g):
+        def counted(g, *args, **kwargs):
             calls.append(g)
-            return real(g)
+            return real(g, *args, **kwargs)
         monkeypatch.setattr(solver, "find_k4", counted)
         return solve_3col(inst), len(calls)
 
