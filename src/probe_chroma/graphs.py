@@ -32,8 +32,9 @@ class Graph:
 
     ``edges`` is a tuple of ``(u, v)`` pairs with ``u < v``, sorted
     lexicographically.  ``adj[v]`` is a frozenset of neighbours.  The
-    searches use adjacency rows as plain ``int`` bitsets, built lazily by
-    :meth:`bitrows`: bit ``w`` of row ``v`` is set when ``vw`` is an edge.
+    searches use adjacency rows as plain ``int`` bitsets from
+    :meth:`bitrows`, each built on its first read: bit ``w`` of row ``v`` is
+    set when ``vw`` is an edge.
     """
 
     __slots__ = ("n", "edges", "adj", "_rows")
@@ -54,9 +55,9 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def bitrows(self) -> tuple:
+    def bitrows(self) -> dict:
         if self._rows is None:
-            self._rows = tuple([sum(1 << w for w in nbrs) for nbrs in self.adj])
+            self._rows = _Rows(self.adj)
         return self._rows
 
     def __eq__(self, other):
@@ -67,6 +68,19 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
+
+
+class _Rows(dict):
+    """Bit rows by vertex, each built and kept on its first read."""
+
+    __slots__ = ("adj",)
+
+    def __init__(self, adj):
+        self.adj = adj
+
+    def __missing__(self, v):
+        row = self[v] = sum(1 << w for w in self.adj[v])
+        return row
 
 
 def build_graph(n: int, edges) -> Graph:
@@ -221,7 +235,7 @@ class PartialColouring:
         # one C-level set test; the loop runs only to name the bad colour
         if not self._VALID.issuperset(self.colours):
             for c in self.colours:
-                if not 0 <= c <= 3:
+                if c not in self._VALID:
                     raise ValueError(f"colour {c} outside 0..3")
 
     @classmethod
@@ -378,18 +392,21 @@ def iter_bits(row: int):
 
 
 def twin_representatives(g: Graph, vertices) -> tuple:
-    """The least member of each class of false twins (equal rows of g)
-    among ``vertices``, ascending."""
-    rows = g.bitrows()
+    """The least member of each class of false twins (equal neighbour sets
+    in g) among ``vertices``, ascending."""
+    adj = g.adj
     first = {}
     for v in sorted(vertices):
-        first.setdefault(rows[v], v)
+        first.setdefault(adj[v], v)
     return tuple(first.values())
 
 
 def find_k4(g: Graph, *, within=None):
     """Some 4-clique as an ascending tuple, or None; with a vertex set
-    ``within``, one with an edge inside ``within``, or None if none has."""
+    ``within``, one with at least three vertices in ``within``, whose rows
+    alone are read, or None if none has.  The third vertex w is sought
+    above v only, which loses no clique: at the least edge uv of one, any w
+    lies above v, or a lesser edge would have hit first."""
     if g.n < 4:
         return None
     rows = g.bitrows()
@@ -397,7 +414,7 @@ def find_k4(g: Graph, *, within=None):
     for u in iter_bits(mask):
         for v in iter_bits(rows[u] & mask & (-1 << (u + 1))):
             common = rows[u] & rows[v]
-            for w in iter_bits(common):
+            for w in iter_bits(common & mask & (-1 << (v + 1))):
                 hit = common & rows[w]
                 if hit:
                     x = (hit & -hit).bit_length() - 1

@@ -281,8 +281,10 @@ def _probe_component_core(g, comp, probes, stats):
     # ids of the copy are positions in comp
     kverts = tuple([bisect_left(comp, v) for v in odd[0]])
     g, probes = component_copy(g, comp, probes)
-    # nonprobes are independent, so a K4 holds a triangle of K; no K4 holds
-    # two false twins, so one of each class of K stands in for the rest
+    # nonprobes are independent, so a K4 has three probes or more; they form
+    # a triangle, so they lie in K, and since false twins are never adjacent,
+    # trading each for its representative keeps a K4: one exists exactly
+    # when one with three representatives does
     reps = twin_representatives(g, kverts)
     if find_k4(g, within=reps) is not None:
         return None

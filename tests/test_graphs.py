@@ -227,7 +227,22 @@ class TestFindInduced:
 
 class TestBitrows:
     def test_rows_are_int_bitsets(self):
-        assert path_graph(4).bitrows() == (0b10, 0b101, 0b1010, 0b100)
+        rows = path_graph(4).bitrows()
+        assert [rows[v] for v in range(4)] == [0b10, 0b101, 0b1010, 0b100]
+
+    @given(graphs_st, st.data())
+    def test_every_row_read_is_the_neighbour_bitset(self, g, data):
+        rows = g.bitrows()
+        for v in data.draw(st.lists(st.integers(0, g.n - 1))):
+            assert rows[v] == sum(1 << w for w in g.adj[v])
+
+    def test_holds_exactly_the_rows_read(self):
+        g = cycle_graph(6)
+        rows = g.bitrows()
+        assert len(rows) == 0
+        assert [rows[4], rows[1], rows[4]] == [0b101000, 0b101, 0b101000]
+        assert g.bitrows() is rows
+        assert dict(rows) == {4: 0b101000, 1: 0b101}
 
     def test_iter_bits_ascending(self):
         assert list(iter_bits(0)) == []
@@ -245,6 +260,24 @@ class TestFindK4:
     def test_k5_some_quad(self):
         quad = find_k4(complete_graph(5))
         assert quad is not None and len(set(quad)) == 4
+
+    @given(graphs_st)
+    def test_within_matches_brute(self, g):
+        cliques = [
+            sub for sub in itertools.combinations(range(g.n), 4)
+            if all(g.has_edge(a, b) for a, b in itertools.combinations(sub, 2))
+        ]
+        for bits in range(1 << g.n):
+            within = {v for v in range(g.n) if bits >> v & 1}
+            quad = find_k4(g, within=within)
+            brute = any(len(within.intersection(sub)) >= 3 for sub in cliques)
+            assert (quad is not None) == brute
+            if quad is not None:
+                assert quad in cliques and len(within.intersection(quad)) >= 3
+
+    @given(graphs_st)
+    def test_without_within_matches_the_edge_scan(self, g):
+        assert find_k4(g) == helpers.whole_k4(g)
 
     @given(graphs_st)
     def test_matches_brute(self, g):
@@ -344,7 +377,7 @@ class TestPartialColouring:
         assert helpers.is_proper_on(g, pc)
         assert not helpers.is_proper_on(g, base.with_colours({0: 1, 1: 1}))
 
-    @pytest.mark.parametrize("colours", [(0, 4), (-1, 1)])
+    @pytest.mark.parametrize("colours", [(0, 4), (-1, 1), (0, 1.5)])
     def test_colours_outside_0_to_3_rejected(self, colours):
         with pytest.raises(ValueError):
             PartialColouring(colours)

@@ -713,6 +713,18 @@ class TestNoWorkingCopies:
         assert calls["induced_subgraph"] == calls["pick_reference_cycle"]
 
 
+class TestRowsRead:
+    """A solve builds bit rows only for the vertices its searches read:
+    on one large component, the few false-twin representatives of K."""
+
+    @pytest.mark.parametrize("family", ["pentagon", "split-pure"])
+    def test_a_handful_of_rows(self, family):
+        inst = gen_probe_instance(2000, 0.4, 7, family=family)
+        assert len(connected_components(inst.graph)) == 1
+        assert_colourable(inst, solve_3col(inst))
+        assert len(inst.graph.bitrows()) <= 10
+
+
 class TestRefusalsInLaterComponents:
     """A refusal raised in a component that is not the first names the
     input's vertex ids, exactly as when every component was copied."""
