@@ -5,7 +5,6 @@ Run: python3 demos/solve_walkthrough.py
 
 from probe_chroma import build_graph, solve_3col, validate_probe_instance
 from probe_chroma.graphs import cycle_graph
-from probe_chroma.solver import SolverOptions
 
 
 def main():
@@ -31,7 +30,7 @@ def main():
     print()
 
     # The same input with the brute-force fallback still gets an answer.
-    v = solve_3col(inst, SolverOptions(oracle_fallback=True))
+    v = solve_3col(inst, oracle_fallback=True)
     print("all-probe 7-cycle with fallback:")
     print("  status   ", v.status)
     print("  colouring", v.colouring)

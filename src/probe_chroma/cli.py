@@ -20,7 +20,6 @@ from .solver import (
     COLOURABLE,
     NOT_COLOURABLE,
     NOT_PROBE_P5_FREE,
-    SolverOptions,
     solve_3col,
     verify_colouring,
 )
@@ -117,9 +116,7 @@ def format_instance(inst: ProbeInstance, comments=()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_result(verdict, format: str = "json") -> str:
-    if format != "json":
-        raise ValueError(f"unsupported result format: {format}")
+def emit_result(verdict) -> str:
     obj = {"status": verdict.status}
     if verdict.status == COLOURABLE:
         obj["colouring"] = list(verdict.colouring)
@@ -169,11 +166,10 @@ def build_parser() -> argparse.ArgumentParser:
                   description="3-colouring of partitioned probe P5-free graphs")
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", parents=[], help="solve an instance")
+    p = sub.add_parser("solve", help="solve an instance")
     p.add_argument("instance", nargs="?", help="instance file (default stdin)")
     p.add_argument("--fallback-oracle", action="store_true",
                    help="answer by brute force when a promise check fails")
-    p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("verify", help="check a colouring against an instance")
     p.add_argument("colouring", help="solve output JSON (or a bare array)")
@@ -201,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-p3sp1", help="probe (P3+sP1)-free solver")
     p.add_argument("instance", nargs="?", help="instance file (default stdin)")
     p.add_argument("--s", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
     return top
 
 
@@ -230,16 +225,14 @@ def main(argv=None) -> int:
 
 def _cmd_solve(args):
     inst = parse_instance(_read_text(args.instance))
-    opts = SolverOptions(args.fallback_oracle, _pick_seed(args))
-    verdict = solve_3col(inst, opts)
+    verdict = solve_3col(inst, oracle_fallback=args.fallback_oracle)
     print(emit_result(verdict))
     return _STATUS_EXIT[verdict.status]
 
 
 def _cmd_solve_p3sp1(args):
     inst = parse_instance(_read_text(args.instance))
-    verdict = solve_3col_p3sp1(inst, args.s,
-                               SolverOptions(seed=_pick_seed(args)))
+    verdict = solve_3col_p3sp1(inst, args.s)
     print(emit_result(verdict))
     return _STATUS_EXIT[verdict.status]
 

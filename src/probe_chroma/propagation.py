@@ -9,7 +9,6 @@ named may.
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass
 
@@ -46,24 +45,18 @@ def seen_masks(g: Graph, colours, skip=frozenset()) -> list:
     return masks
 
 
-def propagate(g: Graph, start: PartialColouring, *, skip=frozenset(),
-              scan_seed=None):
+def propagate(g: Graph, start: PartialColouring, *, skip=frozenset()):
     """Run the forced-colour fixpoint; return the extended colouring or a
     :class:`Conflict`, a live vertex whose mask is full.
 
     Vertices in ``skip`` are treated as absent: they must be uncoloured in
     ``start`` and are never queued, coloured or checked for a conflict.
     An open vertex is queued once, when its mask first holds two colours.
-    ``scan_seed`` permutes the initial worklist order, so that tests can
-    exercise the order claims of the module docstring.
     """
     colours = list(start.colours)
     masks = seen_masks(g, colours, skip)
-    order = [v for v in range(g.n) if v not in skip]
-    if scan_seed is not None:
-        random.Random(scan_seed).shuffle(order)
-    queue = deque(v for v in order
-                  if not colours[v] and len(FREE[masks[v]]) == 1)
+    queue = deque(v for v in range(g.n) if not colours[v]
+                  and len(FREE[masks[v]]) == 1 and v not in skip)
     while queue:
         v = queue.popleft()
         free = FREE[masks[v]]

@@ -51,17 +51,10 @@ _C5 = pattern_graph("c5")
 
 
 @dataclass
-class SolverOptions:
-    oracle_fallback: bool = False  # re-solve structurally failed components by brute force
-    seed: int | None = None  # echoed into stats for reproducibility bookkeeping
-
-
-@dataclass
 class SolveStats:
     branches: int = 0
     two_sat_calls: int = 0
     time_ms: float = 0.0
-    seed: int | None = None
     component_two_sat_calls: list = field(default_factory=list)
     two_sat_budget: int | None = None  # per-component hard cap, when set
     component_vertices: range | tuple = ()  # current component; witnesses when the cap is hit
@@ -87,7 +80,6 @@ class SolveStats:
             "branches": self.branches,
             "two_sat_calls": self.two_sat_calls,
             "time_ms": self.time_ms,
-            "seed": self.seed,
         }
 
 
@@ -186,7 +178,7 @@ def run_solver(g: Graph, stats: SolveStats, colour) -> Verdict:
     return Verdict(status, cert, diagnostic, stats)
 
 
-def solve_3col(inst: ProbeInstance, opts: SolverOptions | None = None) -> Verdict:
+def solve_3col(inst: ProbeInstance, *, oracle_fallback: bool = False) -> Verdict:
     """Decide 3-colourability of a partitioned probe P5-free instance.
 
     Every connected component goes through the probe component algorithm.
@@ -203,14 +195,13 @@ def solve_3col(inst: ProbeInstance, opts: SolverOptions | None = None) -> Verdic
     subclass ``SearchBudgetExceeded`` when the induced-C5 search, which
     runs on one vertex per false-twin class, passes
     ``C5_SEARCH_NODE_BUDGET`` nodes, or the brute-force cap of
-    ``oracle_k_colourable`` when ``opts.oracle_fallback`` re-solves a
-    refused component of more than 30 vertices.
+    ``oracle_k_colourable`` when ``oracle_fallback`` re-solves a refused
+    component of more than 30 vertices.
     """
-    opts = opts or SolverOptions()
-    stats = SolveStats(seed=opts.seed, two_sat_budget=COMPONENT_TWO_SAT_BUDGET)
+    stats = SolveStats(two_sat_budget=COMPONENT_TWO_SAT_BUDGET)
     return run_solver(inst.graph, stats, lambda: colour_components(
         inst.graph, inst.probes, stats, _probe_component_core,
-        opts.oracle_fallback))
+        oracle_fallback))
 
 
 def _proper_assignments(g, verts, base):

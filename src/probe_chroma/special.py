@@ -1,11 +1,11 @@
-"""Auxiliary solvers: the triangle-free constructive colouring, the probe
-(P3+sP1)-free 3-colouring algorithm, and the (s+1)P2-freeness checker."""
+"""Auxiliary solvers: the probe (P3+sP1)-free 3-colouring algorithm and the
+(s+1)P2-freeness checker."""
 
 from __future__ import annotations
 
 import itertools
 
-from .errors import CapabilityError, PromiseViolation
+from .errors import PromiseViolation
 from .graphs import (
     Graph,
     PartialColouring,
@@ -15,17 +15,14 @@ from .graphs import (
     induced_subgraph,
     matching_graph,
     pattern_graph,
-    shortest_odd_cycle,
     two_colour_components,
 )
 from .propagation import FREE, seen_masks
 from .solver import (
     SolveStats,
-    SolverOptions,
     Verdict,
     _proper_assignments,
     _try_extend,
-    certify,
     colour_bipartite_parts,
     colour_components,
     component_copy,
@@ -33,81 +30,29 @@ from .solver import (
 )
 
 _P3 = pattern_graph("p3")
-_C3 = pattern_graph("c3")
-
-# colours along the reference pentagon, then per attachment class V_{i,i+2}
-_PENTAGON_CYCLE_COLOURS = (1, 2, 1, 2, 3)
-_PENTAGON_CLASS_COLOURS = (2, 1, 2, 3, 1)
-
-
-def colour_trianglefree_probe_p5(inst: ProbeInstance) -> tuple:
-    """Constructive 3-colouring of a triangle-free probe P5-free instance.
-
-    Every component either has a bipartite probe side (probes 2-coloured,
-    nonprobes third colour) or hangs off a probe pentagon whose vertex
-    classes take fixed colours.  No search and no NotColourable outcome.
-    """
-    g = inst.graph
-    if find_induced_subgraph(g, _C3) is not None:
-        raise ValueError("input contains a triangle")
-    colours = colour_components(g, inst.probes, SolveStats(),
-                                _trianglefree_component, False)
-    certify(g, colours, "constructed")
-    return tuple(colours)
-
-
-def _trianglefree_component(g, comp, probes, stats):
-    parts = two_colour_components(g, [v for v in comp if v in probes])
-    if all(cols is not None for _, cols in parts):
-        return colour_bipartite_parts(comp, parts)
-    g, probes = component_copy(g, comp, probes)
-    gp, pmap = induced_subgraph(g, probes)
-    cycle = [pmap[v] for v in shortest_odd_cycle(gp)]
-    if len(cycle) != 5:
-        raise PromiseViolation(
-            "long-induced-odd-cycle", cycle,
-            f"triangle-free probe side has odd girth {len(cycle)}",
-        )
-    pos = {v: i for i, v in enumerate(cycle)}
-    colours = [0] * g.n
-    for i, v in enumerate(cycle):
-        colours[v] = _PENTAGON_CYCLE_COLOURS[i]
-    for v in range(g.n):
-        if v in pos:
-            continue
-        onc = frozenset(pos[w] for w in g.adj[v] if w in pos)
-        cls = next((i for i in range(5) if onc == {i, (i + 2) % 5}), None)
-        if cls is None:
-            raise PromiseViolation(
-                "pentagon-classification-failed", [v],
-                "a vertex does not attach to the pentagon at exactly "
-                "two positions of distance two",
-            )
-        colours[v] = _PENTAGON_CLASS_COLOURS[cls]
-    return colours
 
 
 def is_multi_p2_free(g: Graph, s: int) -> bool:
-    """True iff g has no induced (s+1)P2; s is capped at 4."""
-    if s > 4:
-        raise CapabilityError(f"matching order {s + 1} exceeds the pattern cap")
+    """True iff g has no induced (s+1)P2.  The pattern search caps the
+    pattern order, so s > 4 raises :class:`CapabilityError`."""
     return find_induced_subgraph(g, matching_graph(s + 1)) is None
 
 
 # ----------------------------------------------------- probe (P3+sP1)-free
 
-def solve_3col_p3sp1(inst: ProbeInstance, s: int,
-                     opts: SolverOptions | None = None) -> Verdict:
+def solve_3col_p3sp1(inst: ProbeInstance, s: int, *,
+                     oracle_fallback: bool = False) -> Verdict:
     """3-colour a partitioned probe (P3+sP1)-free instance.
 
     Low-degree nonprobes are deleted up front and re-coloured greedily at
     the end; each remaining component goes through the P3-free split or the
     bounded D-plus-S branching.  Nonprobes are pairwise non-adjacent, so one
     pass finds every nonprobe of degree below 3, and all neighbours of a
-    deleted one stay in the solved rest.
+    deleted one stay in the solved rest.  Raises ValueError when s < 0.
     """
-    opts = opts or SolverOptions()
-    stats = SolveStats(seed=opts.seed)
+    if s < 0:
+        raise ValueError(f"isolated-probe count s must be >= 0, got {s}")
+    stats = SolveStats()
     g = inst.graph
 
     def colour():
@@ -120,7 +65,7 @@ def solve_3col_p3sp1(inst: ProbeInstance, s: int,
                 h, h_probes, stats,
                 lambda host, comp, host_probes, st: _p3sp1_component(
                     *component_copy(host, comp, host_probes), s, st),
-                opts.oracle_fallback)
+                oracle_fallback)
         except PromiseViolation as pv:
             raise pv.translated(hmap)
         if rest is None:

@@ -406,6 +406,21 @@ def shuffled_permutation(n, rng):
     return perm
 
 
+def relabel(g: Graph, partial, perm):
+    """g and a partial colouring of it, relabelled by perm (a sequence: new
+    id of vertex v)."""
+    colours = [0] * g.n
+    for v, c in enumerate(partial.colours):
+        colours[perm[v]] = c
+    edges = [(perm[u], perm[v]) for u, v in g.edges]
+    return build_graph(g.n, edges), PartialColouring(tuple(colours))
+
+
+def relabel_back(partial, perm):
+    """A partial colouring of the graph relabelled by perm, in the old ids."""
+    return PartialColouring(tuple(partial.colours[p] for p in perm))
+
+
 def skip_cases(count, seed):
     """Random graphs with a proper partial 3-colouring and a skip set among
     the uncoloured vertices, drawn from a fixed seed."""

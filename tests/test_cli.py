@@ -91,7 +91,7 @@ class TestEmit:
         obj = json.loads(emit_result(solve_3col(inst)))
         assert obj["status"] == "colourable"
         assert len(obj["colouring"]) == 5
-        assert set(obj["stats"]) == {"branches", "two_sat_calls", "time_ms", "seed"}
+        assert set(obj["stats"]) == {"branches", "two_sat_calls", "time_ms"}
         assert "diagnostic" not in obj
 
     def test_uncolourable_omits_colouring(self):
@@ -101,11 +101,6 @@ class TestEmit:
         obj = json.loads(emit_result(solve_3col(parse_instance(text))))
         assert obj["status"] == "not_colourable"
         assert "colouring" not in obj
-
-    def test_rejects_other_formats(self):
-        inst = parse_instance(C5_TEXT)
-        with pytest.raises(ValueError):
-            emit_result(solve_3col(inst), format="yaml")
 
 
 class TestSolveCommand:
@@ -152,6 +147,14 @@ class TestSolveCommand:
     def test_unknown_flag_exits_three(self, capsys):
         with pytest.raises(SystemExit) as e:
             main(["solve", "--frobnicate"])
+        capsys.readouterr()
+        assert e.value.code == EXIT_INPUT_ERROR
+
+    @pytest.mark.parametrize("command", [["solve"], ["solve-p3sp1", "--s", "1"]])
+    def test_seed_flag_is_gone(self, command, tmp_path, capsys):
+        # the solvers draw no random numbers; only gen takes a seed
+        with pytest.raises(SystemExit) as e:
+            main(command + ["--seed", "7", write(tmp_path, "c5.txt", C5_TEXT)])
         capsys.readouterr()
         assert e.value.code == EXIT_INPUT_ERROR
 
@@ -337,19 +340,25 @@ class TestSolveP3sp1Command:
         assert rc == EXIT_NOT_PROBE
         assert out["diagnostic"]["claim"] == "induced-pattern-among-probes"
 
+    def test_negative_s_is_an_input_error(self, tmp_path, capsys):
+        text = "probe-graph 4\n" + "".join(f"v {i} P\n" for i in range(4)) \
+            + "e 0 1\ne 1 2\ne 2 3\n"
+        rc = main(["solve-p3sp1", "--s", "-1", write(tmp_path, "p4.txt", text)])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == EXIT_INPUT_ERROR
+        assert out["diagnostic"]["kind"] == "input"
+
 
 class TestSeedEnv:
-    def test_env_seed_used_when_flag_absent(self, tmp_path, capsys, monkeypatch):
+    def test_solve_ignores_the_env_seed(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, "c5.txt", C5_TEXT)
+        main(["solve", path])
+        plain = json.loads(capsys.readouterr().out)
         monkeypatch.setenv("PROBE_CHROMA_SEED", "42")
-        main(["solve", write(tmp_path, "c5.txt", C5_TEXT)])
-        out = json.loads(capsys.readouterr().out)
-        assert out["stats"]["seed"] == 42
-
-    def test_flag_beats_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("PROBE_CHROMA_SEED", "42")
-        main(["solve", "--seed", "7", write(tmp_path, "c5.txt", C5_TEXT)])
-        out = json.loads(capsys.readouterr().out)
-        assert out["stats"]["seed"] == 7
+        main(["solve", path])
+        seeded = json.loads(capsys.readouterr().out)
+        assert "seed" not in seeded["stats"]
+        assert seeded["colouring"] == plain["colouring"]
 
     def test_gen_determinism_through_env(self, capsys, monkeypatch):
         monkeypatch.setenv("PROBE_CHROMA_SEED", "13")

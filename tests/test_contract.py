@@ -24,7 +24,6 @@ from probe_chroma.solver import (
     COLOURABLE,
     NOT_COLOURABLE,
     NOT_PROBE_P5_FREE,
-    SolverOptions,
     SolveStats,
     certify,
     run_solver,
@@ -84,8 +83,7 @@ class TestVerdictContract:
 
     def test_fallback_past_the_oracle_cap_escapes(self):
         with pytest.raises(CapabilityError):
-            solve_3col(all_probe(cycle_graph(31)),
-                       SolverOptions(oracle_fallback=True))
+            solve_3col(all_probe(cycle_graph(31)), oracle_fallback=True)
 
 
 class TestCertify:

@@ -86,12 +86,33 @@ class TestSoundness:
 class TestConfluence:
     @given(proper_seeds, st.lists(st.integers(0, 10**6), min_size=3, max_size=6))
     def test_result_independent_of_scan_order(self, case, seeds):
+        # relabelling the graph reorders the worklist and every adjacency scan
         g, start = case
-        runs = [propagate(g, start, scan_seed=s) for s in seeds]
-        conflicts = [isinstance(r, Conflict) for r in runs]
-        assert all(conflicts) or not any(conflicts)
-        if not conflicts[0]:
-            assert all(r == runs[0] for r in runs)
+        want = propagate(g, start)
+        for seed in seeds:
+            perm = helpers.shuffled_permutation(g.n, random.Random(seed))
+            out = propagate(*helpers.relabel(g, start, perm))
+            if isinstance(want, Conflict):
+                assert isinstance(out, Conflict)
+            else:
+                assert not isinstance(out, Conflict)
+                assert helpers.relabel_back(out, perm) == want
+
+    def test_with_a_skip_set_independent_of_scan_order(self):
+        rng = random.Random(13)
+        conflicts = 0
+        for g, start, skip in helpers.skip_cases(400, 13):
+            want = propagate(g, start, skip=skip)
+            perm = helpers.shuffled_permutation(g.n, rng)
+            h, h_start = helpers.relabel(g, start, perm)
+            out = propagate(h, h_start, skip=frozenset(perm[v] for v in skip))
+            if isinstance(want, Conflict):
+                assert isinstance(out, Conflict)
+                conflicts += 1
+            else:
+                assert not isinstance(out, Conflict)
+                assert helpers.relabel_back(out, perm) == want
+        assert 0 < conflicts < 400
 
 
 class TestSkip:

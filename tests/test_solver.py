@@ -40,7 +40,6 @@ from probe_chroma.solver import (
     NOT_COLOURABLE,
     NOT_PROBE_P5_FREE,
     CaseDecomposition,
-    SolverOptions,
     _proper_assignments,
     find_dominating_pair,
     finalize_extension,
@@ -102,7 +101,7 @@ class TestSolveExamples:
         assert sorted(v.diagnostic["witnesses"]) == list(range(7))
 
     def test_oracle_fallback_rescues_odd_cycle(self):
-        v = solve_3col(all_probe(cycle_graph(7)), SolverOptions(oracle_fallback=True))
+        v = solve_3col(all_probe(cycle_graph(7)), oracle_fallback=True)
         assert v.status == COLOURABLE
         assert verify_colouring(cycle_graph(7), v.colouring) is None
 
@@ -130,11 +129,10 @@ class TestSolveExamples:
 
     def test_stats_populated(self):
         inst = gen_probe_instance(12, 0.5, 1)
-        v = solve_3col(inst, SolverOptions(seed=9))
-        assert v.stats.seed == 9
+        v = solve_3col(inst)
         assert v.stats.time_ms > 0
         d = v.stats.as_dict()
-        assert set(d) == {"branches", "two_sat_calls", "time_ms", "seed"}
+        assert set(d) == {"branches", "two_sat_calls", "time_ms"}
 
 
 def c5_blowup(part):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import helpers
-from probe_chroma.errors import CapabilityError, PromiseViolation
+from probe_chroma.errors import CapabilityError
 from probe_chroma.generators import gen_probe_instance
 from probe_chroma.graphs import (
     build_graph,
@@ -19,12 +19,10 @@ from probe_chroma.solver import (
     COLOURABLE,
     NOT_COLOURABLE,
     NOT_PROBE_P5_FREE,
-    SolverOptions,
     solve_3col,
     verify_colouring,
 )
 from probe_chroma.special import (
-    colour_trianglefree_probe_p5,
     is_multi_p2_free,
     solve_3col_p3sp1,
 )
@@ -36,48 +34,31 @@ def probe_inst(g, nonprobes):
 
 
 class TestTrianglefree:
+    """Triangle-free probe P5-free inputs go through ``solve_3col`` like any
+    other; each is 3-colourable (a bipartite probe side or a probe pentagon
+    with classified attachments), so the answer is a checked colouring."""
+
+    def assert_coloured(self, inst):
+        v = solve_3col(inst)
+        assert v.status == COLOURABLE, v.diagnostic
+        assert verify_colouring(inst.graph, v.colouring) is None
+
     def test_bipartite_probe_side(self):
-        inst = probe_inst(cycle_graph(6), range(1, 6, 2))
-        assert colour_trianglefree_probe_p5(inst) == (1, 3, 1, 3, 1, 3)
+        self.assert_coloured(probe_inst(cycle_graph(6), range(1, 6, 2)))
 
     def test_pentagon_with_classified_attachments(self):
         edges = [(i, (i + 1) % 5) for i in range(5)] + [(5, 0), (5, 2), (6, 1), (6, 3)]
-        inst = probe_inst(build_graph(7, edges), {5, 6})
-        out = colour_trianglefree_probe_p5(inst)
-        assert out[:5] == (1, 2, 1, 2, 3)
-        assert out[5] == 2 and out[6] == 1
-
-    def test_triangle_rejected(self):
-        tri = build_graph(3, [(0, 1), (1, 2), (0, 2)])
-        with pytest.raises(ValueError):
-            colour_trianglefree_probe_p5(probe_inst(tri, ()))
-
-    def test_long_odd_probe_cycle(self):
-        inst = probe_inst(cycle_graph(7), ())
-        with pytest.raises(PromiseViolation) as e:
-            colour_trianglefree_probe_p5(inst)
-        assert e.value.claim == "long-induced-odd-cycle"
-
-    def test_unclassifiable_attachment(self):
-        edges = [(i, (i + 1) % 5) for i in range(5)] + [(5, 0)]
-        inst = probe_inst(build_graph(6, edges), {5})
-        with pytest.raises(PromiseViolation) as e:
-            colour_trianglefree_probe_p5(inst)
-        assert e.value.claim == "pentagon-classification-failed"
-        assert e.value.witnesses == [5]
+        self.assert_coloured(probe_inst(build_graph(7, edges), {5, 6}))
 
     @pytest.mark.parametrize("seed", range(25))
     def test_generated_instances_properly_coloured(self, seed):
-        inst = gen_probe_instance(18, 0.5, seed, family="trianglefree")
-        out = colour_trianglefree_probe_p5(inst)
-        assert verify_colouring(inst.graph, out) is None
+        self.assert_coloured(
+            gen_probe_instance(18, 0.5, seed, family="trianglefree"))
 
     def test_mixed_components(self):
         pent = [(i, (i + 1) % 5) for i in range(5)] + [(5, 0), (5, 2)]
         g = disjoint_union([build_graph(6, pent), cycle_graph(4)])
-        inst = probe_inst(g, {5})
-        out = colour_trianglefree_probe_p5(inst)
-        assert verify_colouring(g, out) is None
+        self.assert_coloured(probe_inst(g, {5}))
 
 
 class TestMultiP2Free:
@@ -180,6 +161,10 @@ class TestP3sP1Solver:
         if v.colouring is not None:
             assert verify_colouring(inst.graph, v.colouring) is None
 
+    def test_negative_s_rejected(self):
+        with pytest.raises(ValueError):
+            solve_3col_p3sp1(probe_inst(path_graph(4), ()), -1)
+
     def test_stats_do_not_carry_the_probe_budget(self):
         v = solve_3col_p3sp1(probe_inst(path_graph(4), ()), 1)
         assert v.stats.two_sat_budget is None
@@ -188,7 +173,7 @@ class TestP3sP1Solver:
         inst = probe_inst(path_graph(6), ())
         assert solve_3col_p3sp1(inst, 1).diagnostic["claim"] \
             == "induced-pattern-among-probes"
-        v = solve_3col_p3sp1(inst, 1, SolverOptions(oracle_fallback=True))
+        v = solve_3col_p3sp1(inst, 1, oracle_fallback=True)
         assert v.status == COLOURABLE
         assert verify_colouring(inst.graph, v.colouring) is None
 
