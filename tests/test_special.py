@@ -50,6 +50,15 @@ class TestTrianglefree:
         edges = [(i, (i + 1) % 5) for i in range(5)] + [(5, 0), (5, 2), (6, 1), (6, 3)]
         self.assert_coloured(probe_inst(build_graph(7, edges), {5, 6}))
 
+    def test_long_odd_probe_cycle(self):
+        # An all-probe C7 is triangle-free but breaks the promise: no
+        # colouring is returned, and the refusal names the whole cycle.
+        v = solve_3col(probe_inst(cycle_graph(7), ()))
+        assert v.status == NOT_PROBE_P5_FREE
+        assert v.colouring is None
+        assert v.diagnostic["claim"] == "long-induced-odd-cycle"
+        assert sorted(v.diagnostic["witnesses"]) == list(range(7))
+
     @pytest.mark.parametrize("seed", range(25))
     def test_generated_instances_properly_coloured(self, seed):
         self.assert_coloured(
