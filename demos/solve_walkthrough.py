@@ -16,7 +16,8 @@ def main():
     print("pentagon with hidden chords:")
     print("  status   ", v.status)
     print("  colouring", v.colouring)
-    print("  2-SAT rounds per component", v.stats.component_two_sat_calls)
+    print("  2-SAT rounds per odd-probe component",
+          v.stats.component_two_sat_calls)
     print()
 
     # An all-probe C7 cannot be completed to a P5-free graph: there are no

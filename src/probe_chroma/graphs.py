@@ -188,16 +188,14 @@ def pattern_graph(name: str) -> Graph:
 
 
 def induced_subgraph(g: Graph, vertices) -> tuple:
-    """Induced subgraph on ``vertices`` plus the new-to-old id mapping."""
+    """Induced subgraph on ``vertices`` plus the new-to-old id mapping; ids
+    of a valid graph need no :func:`build_graph` checks, and ascending rows
+    list the edges sorted."""
     keep = sorted(set(vertices))
     index = {old: new for new, old in enumerate(keep)}
-    edges = [
-        (index[u], index[w])
-        for u in keep
-        for w in g.adj[u]
-        if u < w and w in index
-    ]
-    return build_graph(len(keep), edges), tuple(keep)
+    adj = [frozenset([index[w] for w in g.adj[u] if w in index]) for u in keep]
+    edges = [(u, w) for u, row in enumerate(adj) for w in sorted(row) if u < w]
+    return Graph(len(keep), tuple(edges), tuple(adj)), tuple(keep)
 
 
 # ------------------------------------------------------------------- instances
@@ -273,23 +271,23 @@ class InducedEmbedding:
 
 def connected_components(g: Graph) -> list:
     """Components as sorted tuples, listed by smallest member."""
-    seen = [False] * g.n
-    comps = []
+    comps, seen = [], set()
     for s in range(g.n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        comp = [s]
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for w in g.adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        comps.append(tuple(sorted(comp)))
+        if s not in seen:
+            comps.append(component_of(g, s))
+            seen.update(comps[-1])
     return comps
+
+
+def component_of(g: Graph, s: int) -> tuple:
+    """The connected component of vertex ``s`` as a sorted tuple."""
+    comp, seen = [s], {s}
+    for v in comp:  # grows while scanned
+        new = g.adj[v] - seen
+        seen |= new
+        comp.extend(new)
+    comp.sort()
+    return tuple(comp)
 
 
 def two_colour_components(g: Graph, vertices) -> list:

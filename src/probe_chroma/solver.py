@@ -23,7 +23,7 @@ from .graphs import (
     PartialColouring,
     ProbeInstance,
     _canonical_cycle,
-    connected_components,
+    component_of,
     find_induced_subgraph,
     find_k4,
     induced_subgraph,
@@ -52,6 +52,8 @@ _C5 = pattern_graph("c5")
 
 @dataclass
 class SolveStats:
+    """Counters of one solve.  ``component_two_sat_calls`` holds the 2-SAT
+    rounds of each component that reaches the odd probe path, in order."""
     branches: int = 0
     two_sat_calls: int = 0
     time_ms: float = 0.0
@@ -114,9 +116,9 @@ def certify(g: Graph, colours, what: str):
 
 # -------------------------------------------------------------------- top level
 
-def colour_components(g: Graph, probes, stats: SolveStats, colour_component,
-                      oracle_fallback: bool):
-    """Colour g one connected component at a time.
+def colour_components(g: Graph, probes, comps, colours, stats: SolveStats,
+                      colour_component, oracle_fallback: bool):
+    """Colour the connected components ``comps`` of g into ``colours``.
 
     ``colour_component(g, comp, probes, stats)`` gets g itself and the
     sorted tuple ``comp`` of one component's vertices, and returns the
@@ -125,11 +127,10 @@ def colour_components(g: Graph, probes, stats: SolveStats, colour_component,
     :func:`component_copy`, whose ids are positions in ``comp``; its
     refusals name those positions and come back here with g's ids.  With
     ``oracle_fallback`` a refused component is re-solved by brute force
-    instead.  Returns the colouring of g as a list, or None at the first
-    component without a 3-colouring.
+    instead.  Returns ``colours``, or None at the first component without a
+    3-colouring.
     """
-    colours = [0] * g.n
-    for comp in connected_components(g):
+    for comp in comps:
         stats.start_component(range(len(comp)))
         try:
             res = colour_component(g, comp, probes, stats)
@@ -181,9 +182,10 @@ def run_solver(g: Graph, stats: SolveStats, colour) -> Verdict:
 def solve_3col(inst: ProbeInstance, *, oracle_fallback: bool = False) -> Verdict:
     """Decide 3-colourability of a partitioned probe P5-free instance.
 
-    Every connected component goes through the probe component algorithm.
-    That one path is enough: a component whose graph is already P5-free is
-    probe P5-free under any independent nonprobe set (the empty fill works).
+    Bipartite probe components take their 2-colourings and nonprobes colour
+    3; each component with an odd probe component then goes, by least member,
+    through the probe component algorithm.  That is enough: a component whose
+    graph is P5-free is probe P5-free under any independent nonprobe set.
 
     Returns one of three verdicts.  A failed structural claim becomes a
     ``not_probe_p5_free`` verdict whose diagnostic names the claim and
@@ -199,9 +201,22 @@ def solve_3col(inst: ProbeInstance, *, oracle_fallback: bool = False) -> Verdict
     component of more than 30 vertices.
     """
     stats = SolveStats(two_sat_budget=COMPONENT_TWO_SAT_BUDGET)
-    return run_solver(inst.graph, stats, lambda: colour_components(
-        inst.graph, inst.probes, stats, _probe_component_core,
-        oracle_fallback))
+    g, probes = inst.graph, inst.probes
+
+    def colour():
+        parts = two_colour_components(g, probes)
+        comps, odd = [], {}  # vertex -> the odd probe parts of its component
+        for part in [part for part, cols in parts if cols is None]:
+            if part[0] not in odd:  # one list, shared by the component
+                comps.append(component_of(g, part[0]))
+                odd.update(dict.fromkeys(comps[-1], []))
+            odd[part[0]].append(part)
+        return colour_components(
+            g, probes, sorted(comps), colour_bipartite_parts(g.n, parts),
+            stats, lambda host, comp, host_probes, st: _probe_component_core(
+                host, comp, host_probes, odd[comp[0]], st), oracle_fallback)
+
+    return run_solver(g, stats, colour)
 
 
 def _proper_assignments(g, verts, base):
@@ -250,23 +265,19 @@ def _try_extend(g, partial, equalities, stats, skip=frozenset()):
         ) from e
 
 
-def colour_bipartite_parts(comp, parts):
-    """Colouring aligned with ``comp``: the bipartite ``parts`` of
-    :func:`two_colour_components` take their 2-colourings and every other
-    vertex of ``comp`` colour 3."""
-    colours = dict.fromkeys(comp, 3)
+def colour_bipartite_parts(n, parts):
+    """Colouring of ``range(n)``: 3, but the 2-colouring of each bipartite
+    part of ``parts``, as :func:`two_colour_components` lists them."""
+    colours = [3] * n
     for part, cols in parts:
-        colours.update(zip(part, cols))
-    return [colours[v] for v in comp]
+        for v, c in zip(part, cols or ()):
+            colours[v] = c
+    return colours
 
 
 # ------------------------------------------------------------- probe component
 
-def _probe_component_core(g, comp, probes, stats):
-    parts = two_colour_components(g, [v for v in comp if v in probes])
-    odd = [part for part, cols in parts if cols is None]
-    if not odd:
-        return colour_bipartite_parts(comp, parts)
+def _probe_component_core(g, comp, probes, odd, stats):
     if len(odd) >= 2:
         return None
     # ids of the copy are positions in comp

@@ -10,6 +10,7 @@ from .graphs import (
     Graph,
     PartialColouring,
     ProbeInstance,
+    connected_components,
     find_induced_subgraph,
     find_k4,
     induced_subgraph,
@@ -62,7 +63,7 @@ def solve_3col_p3sp1(inst: ProbeInstance, s: int, *,
         h_probes = frozenset(i for i, old in enumerate(hmap) if old in inst.probes)
         try:
             rest = colour_components(
-                h, h_probes, stats,
+                h, h_probes, connected_components(h), [0] * h.n, stats,
                 lambda host, comp, host_probes, st: _p3sp1_component(
                     *component_copy(host, comp, host_probes), s, st),
                 oracle_fallback)
@@ -128,7 +129,7 @@ def _case_p3free(g, probes, nprob, s, stats):
             parts = two_colour_components(
                 g, [v for v in range(g.n) if v not in removed])
             if all(cols is not None for _, cols in parts):
-                return colour_bipartite_parts(range(g.n), parts)
+                return colour_bipartite_parts(g.n, parts)
     return None
 
 

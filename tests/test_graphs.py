@@ -17,6 +17,7 @@ from probe_chroma.graphs import (
     PartialColouring,
     build_graph,
     complete_graph,
+    component_of,
     connected_components,
     cycle_graph,
     find_induced_subgraph,
@@ -105,6 +106,14 @@ class TestComponents:
 
     def test_empty_graph_singletons(self):
         assert connected_components(build_graph(3, [])) == [(0,), (1,), (2,)]
+
+    def test_component_of_each_vertex(self):
+        rng = random.Random(19)
+        for _ in range(200):
+            n = rng.randint(1, 14)
+            g = helpers.random_graph(n, rng.uniform(0.05, 0.4), rng)
+            for comp in connected_components(g):
+                assert all(component_of(g, v) == comp for v in comp)
 
 
 class TestTwoColourComponents:
@@ -327,6 +336,23 @@ class TestInducedSubgraph:
         sub, back = induced_subgraph(g, keep)
         for i, j in itertools.combinations(range(sub.n), 2):
             assert sub.has_edge(i, j) == g.has_edge(back[i], back[j])
+
+    def test_same_graph_as_build_graph_on_the_kept_edges(self):
+        # the copy skips build_graph; it must still come out normalised
+        rng = random.Random(17)
+        for k in range(300):
+            n = rng.randint(0, 14)
+            g = helpers.random_graph(n, rng.uniform(0.1, 0.9), rng)
+            keep = ([] if k % 3 == 0 else list(range(n)) if k % 3 == 1
+                    else rng.sample(range(n), rng.randint(0, n)))
+            sub, back = induced_subgraph(g, keep)
+            assert back == tuple(sorted(keep))
+            index = {old: new for new, old in enumerate(back)}
+            want = build_graph(len(back), [(index[u], index[v]) for u, v in g.edges
+                                           if u in index and v in index])
+            assert sub.n == want.n
+            assert sub.edges == want.edges
+            assert sub.adj == want.adj
 
 
 class TestSplitPartition:

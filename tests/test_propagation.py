@@ -98,6 +98,25 @@ class TestConfluence:
                 assert not isinstance(out, Conflict)
                 assert helpers.relabel_back(out, perm) == want
 
+    def test_fixed_draw_independent_of_scan_order(self):
+        # the few small hypothesis examples above rarely start with two
+        # forced vertices; this fixed draw has hundreds that do
+        rng = random.Random(14)
+        conflicts = 0
+        for _ in range(400):
+            g, start = _graph_and_seed(rng.randint(2, 10), rng.randrange(10**6),
+                                       rng.uniform(0.15, 0.7), rng.randrange(10**6))
+            want = propagate(g, start)
+            perm = helpers.shuffled_permutation(g.n, rng)
+            out = propagate(*helpers.relabel(g, start, perm))
+            if isinstance(want, Conflict):
+                assert isinstance(out, Conflict)
+                conflicts += 1
+            else:
+                assert not isinstance(out, Conflict)
+                assert helpers.relabel_back(out, perm) == want
+        assert 0 < conflicts < 400
+
     def test_with_a_skip_set_independent_of_scan_order(self):
         rng = random.Random(13)
         conflicts = 0

@@ -666,29 +666,40 @@ class TestScaling:
 
 
 class TestNoWorkingCopies:
-    """The solver copies a component only on its way to the reference cycle,
-    and then only when the component is not the whole input."""
+    """One 2-colouring pass over the probe side colours every component
+    whose probe side is bipartite; only a component with an odd probe
+    component is found, by a search from that odd part, and visited.  It is
+    copied on its way to the reference cycle, unless it is the whole input."""
 
     @staticmethod
     def count_copies(monkeypatch, inst):
         from probe_chroma import solver
-        from probe_chroma.graphs import connected_components
 
         calls = {"induced_subgraph": 0, "_case2_attempt": 0,
-                 "pick_reference_cycle": 0}
+                 "pick_reference_cycle": 0, "make_case_decomposition": 0,
+                 "two_colour_components": 0, "component_of": 0}
+        first_args = {}
 
         def counted(name):
             real = getattr(solver, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
+                first_args.setdefault(name, args)
                 return real(*args, **kwargs)
             monkeypatch.setattr(solver, name, wrapper)
 
         for name in calls:
             counted(name)
+        assert not hasattr(solver, "connected_components")
         v = solve_3col(inst)
         assert_colourable(inst, v)
+        # the one probe-side pass, over the whole input; beyond it only the
+        # |C| = 3 decomposition 2-colours the probe components outside K
+        assert first_args["two_colour_components"] == (inst.graph, inst.probes)
+        assert (calls["two_colour_components"]
+                == 1 + calls["make_case_decomposition"])
+        assert len(v.stats.component_two_sat_calls) == calls["component_of"]
         return calls, len(connected_components(inst.graph))
 
     def test_large_path_split(self, monkeypatch):
@@ -707,8 +718,31 @@ class TestNoWorkingCopies:
     def test_one_copy_per_component_with_an_odd_probe_side(self, monkeypatch):
         calls, comps = self.count_copies(monkeypatch, _mixed_components_instance())
         assert comps == 5
+        assert calls["component_of"] == 3
         assert calls["pick_reference_cycle"] == 3
         assert calls["induced_subgraph"] == calls["pick_reference_cycle"]
+
+    def test_many_components_with_bipartite_probe_sides(self, monkeypatch):
+        # isolated probes and nonprobes, bare edges, probe P4s, triangles
+        # through a nonprobe and all-probe C6s, 42 pieces interleaved
+        tri = build_graph(3, [(0, 1), (1, 2), (0, 2)])
+        pieces = [(path_graph(1), ()), (path_graph(1), (0,)),
+                  (path_graph(2), (1,)), (path_graph(4), ()), (tri, (2,)),
+                  (cycle_graph(6), ())] * 7
+        g = disjoint_union([piece for piece, _ in pieces])
+        nonprobes, offset = set(), 0
+        for piece, local in pieces:
+            nonprobes.update(offset + v for v in local)
+            offset += piece.n
+        perm = helpers.shuffled_permutation(g.n, random.Random(3))
+        h = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+        inst = _probe_side(h, {perm[v] for v in nonprobes})
+        calls, comps = self.count_copies(monkeypatch, inst)
+        assert comps == 42
+        assert calls["component_of"] == 0
+        assert calls["induced_subgraph"] == 0
+        assert calls["pick_reference_cycle"] == 0
+        assert solve_3col(inst).stats.component_two_sat_calls == []
 
 
 class TestRowsRead:
@@ -852,6 +886,55 @@ class TestK4TestPlacement:
         v, calls = self.count_k4_calls(monkeypatch, inst)
         assert v.status == NOT_COLOURABLE
         assert calls == 0
+
+
+class TestComponentOrder:
+    """Components are visited by least member, so the verdict comes from the
+    first component, in that order, that has no 3-colouring or is refused,
+    even where the order of the odd probe components differs."""
+
+    # (graph, its one nonprobe) of a component with no 3-colouring: two
+    # probe triangles through a nonprobe, a probe K4 with a pendant nonprobe
+    NO = {
+        "two-odd": (build_graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5),
+                                    (3, 5), (0, 6), (3, 6)]), 6),
+        "k4": (build_graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3),
+                               (2, 3), (3, 4)]), 4),
+    }
+    # an all-probe C7 with a pendant nonprobe: refused
+    C7 = (build_graph(8, [(i, (i + 1) % 7) for i in range(7)] + [(0, 7)]), 7)
+
+    @staticmethod
+    def place(first, second, nonprobe_leads):
+        """The two pieces on consecutive ids, ``first`` before ``second``;
+        with ``nonprobe_leads`` only first's nonprobe comes before second,
+        so first holds the least member but second the least odd part."""
+        (g1, x1), (g2, x2) = first, second
+        seq = [(1, v) for v in range(g2.n)]
+        if nonprobe_leads:
+            seq = [(0, x1)] + seq + [(0, v) for v in range(g1.n) if v != x1]
+        else:
+            seq = [(0, v) for v in range(g1.n)] + seq
+        ids = {key: i for i, key in enumerate(seq)}
+        edges = [(ids[k, u], ids[k, v])
+                 for k, g in enumerate((g1, g2)) for u, v in g.edges]
+        inst = _probe_side(build_graph(len(seq), edges), {ids[0, x1], ids[1, x2]})
+        return inst, {i for (k, _), i in ids.items() if k == 0}
+
+    @pytest.mark.parametrize("nonprobe_leads", [False, True])
+    @pytest.mark.parametrize("no", sorted(NO))
+    def test_no_colouring_first(self, no, nonprobe_leads):
+        inst, _ = self.place(self.NO[no], self.C7, nonprobe_leads)
+        assert solve_3col(inst).status == NOT_COLOURABLE
+
+    @pytest.mark.parametrize("nonprobe_leads", [False, True])
+    @pytest.mark.parametrize("no", sorted(NO))
+    def test_refusal_first(self, no, nonprobe_leads):
+        inst, c7 = self.place(self.C7, self.NO[no], nonprobe_leads)
+        v = solve_3col(inst)
+        assert v.status == NOT_PROBE_P5_FREE
+        assert v.diagnostic["claim"] == "long-induced-odd-cycle"
+        assert set(v.diagnostic["witnesses"]) == c7 - inst.nonprobes
 
 
 def _j_component_instance():
