@@ -325,14 +325,15 @@ def shortest_odd_cycle(g: Graph):
     """A shortest odd cycle, or None if bipartite.
 
     Breadth-first layering from every vertex; the output is chordless because
-    a chord would split the cycle into a strictly shorter odd one.  Only its
-    rotation and orientation are canonical: it starts at its least vertex,
-    and its second vertex is below its last.  Which of several equally short
-    cycles comes back follows the iteration order of the adjacency sets, so
-    a relabelled copy of g can yield a different one.
+    a chord would split the cycle into a strictly shorter odd one.  It starts
+    at its least vertex, and its second vertex is below its last.  Which of
+    several equally short cycles comes back depends only on the order of the
+    ids, since neighbours are visited in ascending order: a relabelling of g
+    that keeps the order of its ids yields the same one, relabelled.
     """
     best_len = None
     best = None
+    nbrs = [sorted(row) for row in g.adj]
     for s in range(g.n):
         dist = {s: 0}
         parent = {s: -1}
@@ -342,7 +343,7 @@ def shortest_odd_cycle(g: Graph):
             v = queue.popleft()
             if limit is not None and dist[v] >= limit:
                 continue
-            for w in g.adj[v]:
+            for w in nbrs[v]:
                 if w not in dist:
                     dist[w] = dist[v] + 1
                     parent[w] = v
@@ -389,14 +390,17 @@ def iter_bits(row: int):
         row ^= low
 
 
-def twin_representatives(g: Graph, vertices) -> tuple:
-    """The least member of each class of false twins (equal neighbour sets
-    in g) among ``vertices``, ascending."""
+def twin_representatives(g: Graph, vertices, probes) -> tuple:
+    """The representative of each of the ascending ``vertices`` in its class
+    of false twins (equal neighbour sets in g) among them: the class's least
+    member in ``probes``, or its least member when it holds no probe."""
     adj = g.adj
-    first = {}
-    for v in sorted(vertices):
-        first.setdefault(adj[v], v)
-    return tuple(first.values())
+    rep = {}
+    for v in vertices:
+        r = rep.setdefault(adj[v], v)
+        if v in probes and r not in probes:
+            rep[adj[v]] = v
+    return tuple([rep[adj[v]] for v in vertices])
 
 
 def find_k4(g: Graph, *, within=None):

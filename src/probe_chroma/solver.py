@@ -184,8 +184,8 @@ def solve_3col(inst: ProbeInstance, *, oracle_fallback: bool = False) -> Verdict
 
     Bipartite probe components take their 2-colourings and nonprobes colour
     3; each component with an odd probe component then goes, by least member,
-    through the probe component algorithm.  That is enough: a component whose
-    graph is P5-free is probe P5-free under any independent nonprobe set.
+    through the probe component algorithm on its twin kernel, one vertex per
+    class of false twins, whose colouring every twin copies from its class.
 
     Returns one of three verdicts.  A failed structural claim becomes a
     ``not_probe_p5_free`` verdict whose diagnostic names the claim and
@@ -195,7 +195,7 @@ def solve_3col(inst: ProbeInstance, *, oracle_fallback: bool = False) -> Verdict
 
     The only exception that escapes is :class:`CapabilityError`: its
     subclass ``SearchBudgetExceeded`` when the induced-C5 search, which
-    runs on one vertex per false-twin class, passes
+    runs on the twin kernel, passes
     ``C5_SEARCH_NODE_BUDGET`` nodes, or the brute-force cap of
     ``oracle_k_colourable`` when ``oracle_fallback`` re-solves a refused
     component of more than 30 vertices.
@@ -280,17 +280,30 @@ def colour_bipartite_parts(n, parts):
 def _probe_component_core(g, comp, probes, odd, stats):
     if len(odd) >= 2:
         return None
-    # ids of the copy are positions in comp
-    kverts = tuple([bisect_left(comp, v) for v in odd[0]])
-    g, probes = component_copy(g, comp, probes)
+    # false twins are never adjacent, so a colouring of the kernel, one
+    # representative per twin class, lifts to the component; the kernel is
+    # induced, so it keeps the promise, and it has no twins left.  Probes
+    # represent first, so that K keeps its odd cycle
+    rep = twin_representatives(g, comp, probes)
+    keep = [i for i, v in enumerate(comp) if rep[i] == v]
+    reps = [comp[i] for i in keep]
+    kset = frozenset(odd[0])
+    kverts = tuple([j for j, v in enumerate(reps) if v in kset])
+    stats.component_vertices = range(len(reps))  # budget witnesses: kernel ids
+    try:
+        out = _kernel_core(*component_copy(g, reps, probes), kverts, stats)
+    except PromiseViolation as pv:
+        raise pv.translated(keep)
+    return None if out is None else [out[bisect_left(reps, r)] for r in rep]
+
+
+def _kernel_core(g, probes, kverts, stats):
+    """The core on a twin-free component g with odd probe component K."""
     # nonprobes are independent, so a K4 has three probes or more; they form
-    # a triangle, so they lie in K, and since false twins are never adjacent,
-    # trading each for its representative keeps a K4: one exists exactly
-    # when one with three representatives does
-    reps = twin_representatives(g, kverts)
-    if find_k4(g, within=reps) is not None:
+    # a triangle, so they lie in K
+    if find_k4(g, within=kverts) is not None:
         return None
-    cycle = pick_reference_cycle(g, kverts, reps)
+    cycle = pick_reference_cycle(g, kverts)
     # rows omit their own bit, so the cycle's rows meet in the vertices complete to it
     rows = g.bitrows()
     if reduce(and_, [rows[v] for v in cycle]):
@@ -323,35 +336,32 @@ def _propagate_and_extend(g, start, stats, skip=frozenset(), equalities=()):
     return _try_extend(g, res, equalities, stats, skip)
 
 
-def pick_reference_cycle(g: Graph, kverts, reps=None) -> tuple:
+def pick_reference_cycle(g: Graph, kverts) -> tuple:
     """Reference cycle of the non-bipartite probe component ``kverts`` of g.
 
     Preference order: lexicographically least induced C5; else the least
     triangle dominating the component; else the least triangle.  Each is
-    searched in g under the vertex mask of ``reps``, the
-    :func:`twin_representatives` of ``kverts`` when not given: putting a
-    smaller false twin in place of a vertex keeps a C5 induced and a
-    triangle dominating, and lowers it, so the least one holds only the
-    least member of each twin class.  A non-bipartite component with
+    searched in g under the vertex mask of ``kverts``.  The solver passes a
+    twin-free kernel; on a K with false twins the answer is the same,
+    because putting a smaller false twin in place of a vertex keeps a C5
+    induced and a triangle dominating, and lowers it, but the C5 search
+    grows with the twins.  A non-bipartite component with
     neither (odd girth 7 or more) cannot be probe P5-free; its witness is
-    the shortest odd cycle of the copy G[K], because
-    :func:`shortest_odd_cycle` breaks ties by adjacency-set order, which
-    the ids of g can change.  A bipartite ``kverts`` raises ValueError.
+    the shortest odd cycle of the copy G[K], which :func:`shortest_odd_cycle`
+    picks by the relative order of K's ids alone, whatever g's other ids.
+    A bipartite ``kverts`` raises ValueError.
     The C5 search gives up past ``C5_SEARCH_NODE_BUDGET`` nodes with
     :class:`SearchBudgetExceeded`.
     """
-    if reps is None:
-        reps = twin_representatives(g, kverts)
-    emb = find_induced_subgraph(g, _C5, within=reps,
+    emb = find_induced_subgraph(g, _C5, within=kverts,
                                 node_budget=C5_SEARCH_NODE_BUDGET)
     if emb is not None:
         return _canonical_cycle(list(emb.image))
     rows = g.bitrows()
     kmask = sum(1 << v for v in set(kverts))
-    rmask = sum(1 << v for v in reps)
     first_tri = None
-    for u in iter_bits(rmask):
-        ku = rows[u] & rmask
+    for u in iter_bits(kmask):
+        ku = rows[u] & kmask
         for v in iter_bits(ku & (-1 << (u + 1))):
             for w in iter_bits(ku & rows[v] & (-1 << (v + 1))):
                 tri = (u, v, w)

@@ -21,6 +21,7 @@ from probe_chroma.graphs import (
     PartialColouring,
     build_graph,
     complete_graph,
+    component_of,
     complete_multipartite_graph,
     connected_components,
     cycle_graph,
@@ -299,9 +300,11 @@ def _refusal_or(pick, *args):
 
 
 class TestTwinScreens:
-    """The K4 test and the reference cycle run on the least member of each
-    false-twin class of K, and agree with the whole-K screens they replace
-    (kept in helpers) on graphs with planted twins."""
+    """The K4 test and the reference cycle run on the component's twin
+    kernel, one representative per false-twin class (its least probe, else
+    its least member), and agree, mapped back to the component's ids, with
+    the whole-K screens they replace (kept in helpers) on graphs with
+    planted twins."""
 
     @staticmethod
     def draws():
@@ -319,7 +322,8 @@ class TestTwinScreens:
     @staticmethod
     def odd_component(g, nonprobes):
         """The component of g around its only odd probe component K, as a
-        copy, with K in the copy's ids; None unless exactly one is odd."""
+        copy, with K and the probes in the copy's ids; None unless exactly
+        one is odd."""
         parts = two_colour_components(
             g, [v for v in range(g.n) if v not in nonprobes])
         odd = [part for part, cols in parts if cols is None]
@@ -327,7 +331,8 @@ class TestTwinScreens:
             return None
         comp = next(c for c in connected_components(g) if odd[0][0] in c)
         sub, back = induced_subgraph(g, comp)
-        return sub, tuple(back.index(v) for v in odd[0])
+        probes = frozenset(i for i, v in enumerate(back) if v not in nonprobes)
+        return sub, tuple(back.index(v) for v in odd[0]), probes
 
     def test_match_the_whole_k_screens(self):
         seen = collections.Counter()
@@ -335,21 +340,92 @@ class TestTwinScreens:
             found = self.odd_component(g, nonprobes)
             if found is None:
                 continue
-            sub, kverts = found
-            reps = twin_representatives(sub, kverts)
-            k4 = find_k4(sub, within=reps) is not None
+            sub, kverts, probes = found
+            kernel, back = induced_subgraph(
+                sub, twin_representatives(sub, range(sub.n), probes))
+            kk = tuple(i for i, v in enumerate(back) if v in kverts)
+            k4 = find_k4(kernel, within=kk) is not None
             assert k4 == (helpers.whole_k4(sub) is not None)
             want = _refusal_or(helpers.whole_k_reference_cycle, sub, kverts)
-            got = _refusal_or(pick_reference_cycle, sub, kverts, reps)
+            got = _refusal_or(pick_reference_cycle, kernel, kk)
+            got = ((got[0], tuple(back[v] for v in got[1]))
+                   if isinstance(got[0], str) else tuple(back[v] for v in got))
             assert got == want
             seen["draws"] += 1
-            seen["twins"] += len(reps) < len(kverts)
+            seen["twins"] += len(kk) < len(kverts)
             seen["k4"] += k4
             seen[want[0] if isinstance(want[0], str) else len(want)] += 1
         assert seen["draws"] >= 2000 and seen["twins"] >= 1000
         assert 500 <= seen["k4"] <= seen["draws"] - 500
         assert seen[3] >= 500 and seen[5] >= 300
         assert seen["long-induced-odd-cycle"] >= 1
+
+
+class TestTwinKernel:
+    """Each component with an odd probe component is solved on its twin
+    kernel: one representative per class of false twins, the class's least
+    probe or else its least member.  Every other twin of the component takes
+    its representative's colour."""
+
+    @staticmethod
+    def visited(g, probes):
+        """The vertices of the components that hold an odd probe component."""
+        out = set()
+        for part, cols in two_colour_components(g, probes):
+            if cols is None and part[0] not in out:
+                out.update(component_of(g, part[0]))
+        return out
+
+    def test_same_status_as_the_kernel_instance(self):
+        seen = collections.Counter()
+        for g, nonprobes in TestTwinScreens.draws():
+            probes = frozenset(range(g.n)) - frozenset(nonprobes)
+            inst = validate_probe_instance(g, probes, frozenset(nonprobes))
+            rep = twin_representatives(g, range(g.n), probes)
+            sub, back = induced_subgraph(g, rep)
+            sub_probes = frozenset(i for i, v in enumerate(back) if v in probes)
+            v = solve_3col(inst)
+            w = solve_3col(validate_probe_instance(
+                sub, sub_probes, frozenset(range(sub.n)) - sub_probes))
+            assert v.status == w.status
+            seen[v.status] += 1
+            if v.status != COLOURABLE:
+                continue
+            twins = [u for u in self.visited(g, probes) if rep[u] != u]
+            assert all(v.colouring[u] == v.colouring[rep[u]] for u in twins)
+            seen["lifted"] += bool(twins)
+            seen["nonprobe-lifted"] += any(u not in probes for u in twins)
+        assert seen[COLOURABLE] >= 1200 and seen[NOT_COLOURABLE] >= 1200
+        assert seen[NOT_PROBE_P5_FREE] >= 30
+        assert seen["lifted"] >= 500 and seen["nonprobe-lifted"] >= 300
+
+    def test_nonprobe_twin_of_a_probe_is_not_its_representative(self):
+        # the diamond on 0..3 without edge 0-1: probe triangle 1-2-3 and
+        # nonprobe 0 with N(0) = N(1) = {2, 3}.  Were 0 to represent 1, the
+        # kernel's probe side would be the bare edge 2-3
+        g = build_graph(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+        inst = _probe_side(g, {0})
+        v = solve_3col(inst)
+        assert_colourable(inst, v)
+        assert v.colouring[0] == v.colouring[1]
+
+    def test_budget_refusal_names_input_ids(self, monkeypatch):
+        import probe_chroma.solver as solver
+
+        # a probe path through a nonprobe, and an all-probe C5 whose parts
+        # 0 and 2 are doubled: seven vertices, a kernel of five
+        parts = [(0, 1), (2,), (3, 4), (5,), (6,)]
+        c5 = build_graph(7, [(a, b) for i in range(5) for a in parts[i]
+                             for b in parts[(i + 1) % 5]])
+        g = disjoint_union([path_graph(3), c5])
+        perm = helpers.shuffled_permutation(g.n, random.Random(5))
+        h = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+        inst = _probe_side(h, {perm[1]})
+        monkeypatch.setattr(solver, "COMPONENT_TWO_SAT_BUDGET", 0)
+        v = solve_3col(inst)
+        assert v.diagnostic["claim"] == "two-sat-budget-exceeded"
+        assert v.diagnostic["witnesses"]
+        assert set(v.diagnostic["witnesses"]) <= {perm[u] for u in range(3, 10)}
 
 
 class TestDominatingPair:
@@ -667,9 +743,10 @@ class TestScaling:
 
 class TestNoWorkingCopies:
     """One 2-colouring pass over the probe side colours every component
-    whose probe side is bipartite; only a component with an odd probe
-    component is found, by a search from that odd part, and visited.  It is
-    copied on its way to the reference cycle, unless it is the whole input."""
+    whose probe side is bipartite, with no twin grouping and no copy; only a
+    component with an odd probe component is found, by a search from that
+    odd part, and visited.  Its twin kernel is copied on its way to the
+    reference cycle, unless the kernel is the whole input."""
 
     @staticmethod
     def count_copies(monkeypatch, inst):
@@ -746,8 +823,10 @@ class TestNoWorkingCopies:
 
 
 class TestRowsRead:
-    """A solve builds bit rows only for the vertices its searches read:
-    on one large component, the few false-twin representatives of K."""
+    """A solve builds bit rows only for the vertices its searches read.  On
+    one large component with few false-twin classes, the searches read the
+    rows of the small twin kernel, a copy, and build at most a handful of
+    the input's."""
 
     @pytest.mark.parametrize("family", ["pentagon", "split-pure"])
     def test_a_handful_of_rows(self, family):
@@ -894,10 +973,12 @@ class TestComponentOrder:
     even where the order of the odd probe components differs."""
 
     # (graph, its one nonprobe) of a component with no 3-colouring: two
-    # probe triangles through a nonprobe, a probe K4 with a pendant nonprobe
+    # probe triangles through a nonprobe complete to the first, and a probe
+    # K4 with a pendant nonprobe
     NO = {
         "two-odd": (build_graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5),
-                                    (3, 5), (0, 6), (3, 6)]), 6),
+                                    (3, 5), (0, 6), (1, 6), (2, 6),
+                                    (3, 6)]), 6),
         "k4": (build_graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3),
                                (2, 3), (3, 4)]), 4),
     }
@@ -920,6 +1001,12 @@ class TestComponentOrder:
                  for k, g in enumerate((g1, g2)) for u, v in g.edges]
         inst = _probe_side(build_graph(len(seq), edges), {ids[0, x1], ids[1, x2]})
         return inst, {i for (k, _), i in ids.items() if k == 0}
+
+    @pytest.mark.parametrize("no", sorted(NO))
+    def test_no_piece_keeps_the_promise_without_a_colouring(self, no):
+        g, nonprobe = self.NO[no]
+        assert oracle_k_colourable(g, 3) is None
+        assert oracle_is_probe_hfree(g, pattern_graph("p5"), {nonprobe})
 
     @pytest.mark.parametrize("nonprobe_leads", [False, True])
     @pytest.mark.parametrize("no", sorted(NO))

@@ -15,7 +15,7 @@ from collections import Counter
 
 import verdict_signature
 
-PINNED = "2c5c2288416608fb875feedba401884d97fbead0cb51068efa62a9486fd15121"
+PINNED = "e9ab44b4c0c624744f02d2b62c3b5c2dac856294338c5c7475c0908a6871523a"
 PINNED_DRAWS = 3000
 STATUSES = {
     ("solve_3col", "colourable"): 2170,
