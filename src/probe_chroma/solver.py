@@ -148,8 +148,9 @@ def colour_components(g: Graph, probes, comps, colours, stats: SolveStats,
 def component_copy(g: Graph, comp, probes):
     """The copy G[comp] and its probe set; g itself when ``comp`` spans g.
 
-    The copy's ids are positions in the sorted tuple ``comp``, so its
-    colourings and refusals are what :func:`colour_components` expects.
+    The copy's ids are positions in the ascending ``comp``, so the
+    colourings and refusals of a whole component's copy are what
+    :func:`colour_components` expects.
     """
     if len(comp) == g.n:
         return g, probes
@@ -184,8 +185,9 @@ def solve_3col(inst: ProbeInstance, *, oracle_fallback: bool = False) -> Verdict
 
     Bipartite probe components take their 2-colourings and nonprobes colour
     3; each component with an odd probe component then goes, by least member,
-    through the probe component algorithm on its twin kernel, one vertex per
-    class of false twins, whose colouring every twin copies from its class.
+    through the probe component algorithm on its twin kernel.  That is
+    enough: a component whose graph is P5-free is probe P5-free under any
+    independent nonprobe set.
 
     Returns one of three verdicts.  A failed structural claim becomes a
     ``not_probe_p5_free`` verdict whose diagnostic names the claim and
@@ -345,13 +347,12 @@ def pick_reference_cycle(g: Graph, kverts) -> tuple:
     twin-free kernel; on a K with false twins the answer is the same,
     because putting a smaller false twin in place of a vertex keeps a C5
     induced and a triangle dominating, and lowers it, but the C5 search
-    grows with the twins.  A non-bipartite component with
-    neither (odd girth 7 or more) cannot be probe P5-free; its witness is
-    the shortest odd cycle of the copy G[K], which :func:`shortest_odd_cycle`
-    picks by the relative order of K's ids alone, whatever g's other ids.
-    A bipartite ``kverts`` raises ValueError.
-    The C5 search gives up past ``C5_SEARCH_NODE_BUDGET`` nodes with
-    :class:`SearchBudgetExceeded`.
+    grows with the twins.  A non-bipartite component with neither (odd
+    girth 7 or more) cannot be probe P5-free; its witness is the shortest
+    odd cycle of the copy G[K], which :func:`shortest_odd_cycle` picks by
+    the relative order of K's ids alone, whatever g's other ids.  A
+    bipartite ``kverts`` raises ValueError.  The C5 search gives up past
+    ``C5_SEARCH_NODE_BUDGET`` nodes with :class:`SearchBudgetExceeded`.
     """
     emb = find_induced_subgraph(g, _C5, within=kverts,
                                 node_budget=C5_SEARCH_NODE_BUDGET)

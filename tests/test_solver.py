@@ -21,8 +21,8 @@ from probe_chroma.graphs import (
     PartialColouring,
     build_graph,
     complete_graph,
-    component_of,
     complete_multipartite_graph,
+    component_of,
     connected_components,
     cycle_graph,
     disjoint_union,
@@ -754,7 +754,8 @@ class TestNoWorkingCopies:
 
         calls = {"induced_subgraph": 0, "_case2_attempt": 0,
                  "pick_reference_cycle": 0, "make_case_decomposition": 0,
-                 "two_colour_components": 0, "component_of": 0}
+                 "two_colour_components": 0, "component_of": 0,
+                 "twin_representatives": 0}
         first_args = {}
 
         def counted(name):
@@ -777,6 +778,8 @@ class TestNoWorkingCopies:
         assert (calls["two_colour_components"]
                 == 1 + calls["make_case_decomposition"])
         assert len(v.stats.component_two_sat_calls) == calls["component_of"]
+        # one twin grouping per visited component, none elsewhere
+        assert calls["twin_representatives"] == calls["component_of"]
         return calls, len(connected_components(inst.graph))
 
     def test_large_path_split(self, monkeypatch):

@@ -5,10 +5,10 @@ colouring, diagnostic, branch count or 2-SAT round count on the first
 ``PINNED_DRAWS`` draws fails it.  ``STATUSES`` and ``CLAIMS`` pin only the
 verdict counts per (solver, status) and the refusal counts per (solver,
 claim) of the same draws, so a change that alters certificates or branch
-counts but no status moves ``PINNED`` alone.  3,000 draws reach the ``drop_j`` attempt
-of the |C|=3 case 57 times; 300 reach it 3 times.  A change that alters
-verdicts on purpose updates the pin and records why in CHANGES.md.  Pinned
-under CPython 3.11.7.
+counts but no status moves ``PINNED`` alone.  3,000 draws reach the
+``drop_j`` attempt of the |C|=3 case 57 times; 300 reach it 3 times.  A
+change that alters verdicts on purpose updates the pin and records why in
+CHANGES.md.  Pinned under CPython 3.11.7.
 """
 
 from collections import Counter
