@@ -287,15 +287,14 @@ def _probe_component_core(g, comp, probes, odd, stats):
     # induced, so it keeps the promise, and it has no twins left.  Probes
     # represent first, so that K keeps its odd cycle
     rep = twin_representatives(g, comp, probes)
-    keep = [i for i, v in enumerate(comp) if rep[i] == v]
-    reps = [comp[i] for i in keep]
+    reps = sorted(set(rep))
     kset = frozenset(odd[0])
     kverts = tuple([j for j, v in enumerate(reps) if v in kset])
     stats.component_vertices = range(len(reps))  # budget witnesses: kernel ids
     try:
         out = _kernel_core(*component_copy(g, reps, probes), kverts, stats)
     except PromiseViolation as pv:
-        raise pv.translated(keep)
+        raise pv.translated([bisect_left(comp, v) for v in reps])
     return None if out is None else [out[bisect_left(reps, r)] for r in rep]
 
 
