@@ -284,41 +284,47 @@ def component_of(g: Graph, s: int) -> tuple:
     comp, seen = [s], {s}
     for v in comp:  # grows while scanned
         new = g.adj[v] - seen
-        seen |= new
-        comp.extend(new)
+        if new:  # most vertices add none
+            seen |= new
+            comp.extend(new)
     comp.sort()
     return tuple(comp)
 
 
-def two_colour_components(g: Graph, vertices) -> list:
-    """Components of g[vertices], each with its proper 2-colouring.
+def two_colour_components(g: Graph, vertices) -> tuple:
+    """2-colour every component of g[vertices] in one breadth-first pass.
 
-    Returns ``(component, colours)`` pairs listed by smallest member: the
-    component as a sorted tuple, and ``colours`` aligned with it (colour 1
-    on its smallest member), or None when the component is not bipartite.
+    Returns ``(colours, parts, odd)``.  ``colours`` is a list over g's
+    vertices: 3 outside ``vertices``, and 1 or 2 inside, with colour 1 on
+    each component's least member; on a bipartite component that is its
+    proper 2-colouring.  ``parts`` lists the components by least member,
+    each as a list of its members in breadth-first order from the least;
+    ``odd`` lists, in the same order, the parts that hold an odd cycle.
     """
-    inside = frozenset(vertices)
-    colour = {}
-    out = []
-    for s in sorted(inside):
-        if s in colour:
+    adj = g.adj
+    colours = [3] * g.n
+    for v in vertices:
+        colours[v] = 0
+    parts, odd = [], []
+    for s in range(g.n):
+        if colours[s]:
             continue
-        colour[s] = 1
-        comp = [s]
-        odd = False
-        for v in comp:  # grows while scanned: breadth-first order
-            cv = colour[v]
-            for w in g.adj[v]:
-                if w in inside:
-                    cw = colour.get(w)
-                    if cw is None:
-                        colour[w] = 3 - cv
-                        comp.append(w)
-                    elif cw == cv:
-                        odd = True
-        comp.sort()
-        out.append((tuple(comp), None if odd else tuple([colour[v] for v in comp])))
-    return out
+        colours[s] = 1
+        part = [s]
+        is_odd = False
+        for v in part:  # grows while scanned: breadth-first order
+            cv = colours[v]
+            for w in adj[v]:
+                cw = colours[w]
+                if not cw:
+                    colours[w] = 3 - cv
+                    part.append(w)
+                elif cw == cv:
+                    is_odd = True
+        parts.append(part)
+        if is_odd:
+            odd.append(part)
+    return colours, parts, odd
 
 
 def shortest_odd_cycle(g: Graph):
@@ -391,16 +397,26 @@ def iter_bits(row: int):
 
 
 def twin_representatives(g: Graph, vertices, probes) -> tuple:
-    """The representative of each of the ascending ``vertices`` in its class
-    of false twins (equal neighbour sets in g) among them: the class's least
-    member in ``probes``, or its least member when it holds no probe."""
+    """Group the ascending ``vertices`` into classes of false twins (equal
+    neighbour sets in g).
+
+    Returns ``(index, reps)``: ``index[i]`` is the class of ``vertices[i]``,
+    classes numbered in order of their least member, and ``reps[c]`` is the
+    representative of class c: its least member in ``probes``, or its least
+    member when it holds no probe.
+    """
     adj = g.adj
-    rep = {}
+    cls = {}
+    index, reps = [], []
     for v in vertices:
-        r = rep.setdefault(adj[v], v)
-        if v in probes and r not in probes:
-            rep[adj[v]] = v
-    return tuple([rep[adj[v]] for v in vertices])
+        c = cls.get(adj[v])
+        if c is None:
+            c = cls[adj[v]] = len(reps)
+            reps.append(v)
+        elif v in probes and reps[c] not in probes:
+            reps[c] = v
+        index.append(c)
+    return index, reps
 
 
 def find_k4(g: Graph, *, within=None):

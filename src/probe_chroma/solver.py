@@ -206,16 +206,16 @@ def solve_3col(inst: ProbeInstance, *, oracle_fallback: bool = False) -> Verdict
     g, probes = inst.graph, inst.probes
 
     def colour():
-        parts = two_colour_components(g, probes)
+        colours, _, odd_parts = two_colour_components(g, probes)
         comps, odd = [], {}  # vertex -> the odd probe parts of its component
-        for part in [part for part, cols in parts if cols is None]:
+        for part in odd_parts:
             if part[0] not in odd:  # one list, shared by the component
                 comps.append(component_of(g, part[0]))
                 odd.update(dict.fromkeys(comps[-1], []))
             odd[part[0]].append(part)
         return colour_components(
-            g, probes, sorted(comps), colour_bipartite_parts(g.n, parts),
-            stats, lambda host, comp, host_probes, st: _probe_component_core(
+            g, probes, sorted(comps), colours, stats,
+            lambda host, comp, host_probes, st: _probe_component_core(
                 host, comp, host_probes, odd[comp[0]], st), oracle_fallback)
 
     return run_solver(g, stats, colour)
@@ -267,16 +267,6 @@ def _try_extend(g, partial, equalities, stats, skip=frozenset()):
         ) from e
 
 
-def colour_bipartite_parts(n, parts):
-    """Colouring of ``range(n)``: 3, but the 2-colouring of each bipartite
-    part of ``parts``, as :func:`two_colour_components` lists them."""
-    colours = [3] * n
-    for part, cols in parts:
-        for v, c in zip(part, cols or ()):
-            colours[v] = c
-    return colours
-
-
 # ------------------------------------------------------------- probe component
 
 def _probe_component_core(g, comp, probes, odd, stats):
@@ -285,17 +275,24 @@ def _probe_component_core(g, comp, probes, odd, stats):
     # false twins are never adjacent, so a colouring of the kernel, one
     # representative per twin class, lifts to the component; the kernel is
     # induced, so it keeps the promise, and it has no twins left.  Probes
-    # represent first, so that K keeps its odd cycle
-    rep = twin_representatives(g, comp, probes)
-    reps = sorted(set(rep))
+    # represent first, so that K keeps its odd cycle.  The kernel is copied
+    # in ascending order of ids, which need not be the order of the classes
+    index, reps = twin_representatives(g, comp, probes)
+    order = sorted(range(len(reps)), key=reps.__getitem__)
+    kernel = [reps[c] for c in order]
     kset = frozenset(odd[0])
-    kverts = tuple([j for j, v in enumerate(reps) if v in kset])
-    stats.component_vertices = range(len(reps))  # budget witnesses: kernel ids
+    kverts = tuple([j for j, v in enumerate(kernel) if v in kset])
+    stats.component_vertices = range(len(kernel))  # budget witnesses: kernel ids
     try:
-        out = _kernel_core(*component_copy(g, reps, probes), kverts, stats)
+        out = _kernel_core(*component_copy(g, kernel, probes), kverts, stats)
     except PromiseViolation as pv:
-        raise pv.translated([bisect_left(comp, v) for v in reps])
-    return None if out is None else [out[bisect_left(reps, r)] for r in rep]
+        raise pv.translated([bisect_left(comp, v) for v in kernel])
+    if out is None:
+        return None
+    class_colour = [0] * len(reps)
+    for c, col in zip(order, out):
+        class_colour[c] = col
+    return [class_colour[c] for c in index]
 
 
 def _kernel_core(g, probes, kverts, stats):
@@ -438,16 +435,18 @@ def make_case_decomposition(g: Graph, probes, k_vertices,
             m_r.add(v)
     j = frozenset(v for v in iverts if not g.adj[v] & m_c)
     j_comps = []
-    for verts, two in two_colour_components(g, iverts):
-        inside = sum(1 for v in verts if v in j)
-        if 0 < inside < len(verts):
+    two, parts, _ = two_colour_components(g, iverts)
+    for part in parts:
+        inside = sum(1 for v in part if v in j)
+        if 0 < inside < len(part):
             raise PromiseViolation(
-                "j-not-component-closed", list(verts),
+                "j-not-component-closed", sorted(part),
                 "a probe component outside K mixes vertices with and "
                 "without M_c neighbours",
             )
         if inside:
-            j_comps.append((verts, two))
+            part.sort()
+            j_comps.append((tuple(part), tuple([two[v] for v in part])))
     removed = []
     # the component is connected, so every vertex of L_r has a neighbour
     for v in sorted(l_r):

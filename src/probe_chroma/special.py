@@ -24,7 +24,6 @@ from .solver import (
     Verdict,
     _proper_assignments,
     _try_extend,
-    colour_bipartite_parts,
     colour_components,
     component_copy,
     run_solver,
@@ -126,10 +125,10 @@ def _case_p3free(g, probes, nprob, s, stats):
             removed = sset | {
                 x for x in nprob if not any(w in sset for w in g.adj[x])
             }
-            parts = two_colour_components(
+            colours, _, odd = two_colour_components(
                 g, [v for v in range(g.n) if v not in removed])
-            if all(cols is not None for _, cols in parts):
-                return colour_bipartite_parts(g.n, parts)
+            if not odd:
+                return colours
     return None
 
 

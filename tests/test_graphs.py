@@ -120,30 +120,45 @@ class TestTwoColourComponents:
     def test_subset_of_a_path(self):
         # vertex 2 left out splits the path; the triangle 4-5-6 is odd
         g = build_graph(7, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (4, 6)])
-        assert two_colour_components(g, [6, 5, 4, 3, 1, 0]) == [
-            ((0, 1), (1, 2)), ((3,), (1,)), ((4, 5, 6), None)]
+        colours, parts, odd = two_colour_components(g, [6, 5, 4, 3, 1, 0])
+        assert colours[:4] == [1, 2, 3, 1] and colours[4] == 1
+        assert [sorted(p) for p in parts] == [[0, 1], [3], [4, 5, 6]]
+        assert odd == [parts[2]]
 
     def test_empty_subset(self):
-        assert two_colour_components(cycle_graph(5), ()) == []
+        assert two_colour_components(cycle_graph(5), ()) == ([3] * 5, [], [])
 
     def test_agrees_with_copy_and_bipartition(self):
         rng = random.Random(5)
-        odd = 0
+        odd_seen = 0
         for _ in range(300):
             n = rng.randint(1, 12)
             g = helpers.random_graph(n, rng.uniform(0.1, 0.6), rng)
             subset = [v for v in range(n) if rng.random() < 0.7]
             sub, back = induced_subgraph(g, subset)
-            want = []
-            for comp in connected_components(sub):
-                # the first proper 2-colouring puts colour 1 on the smallest
-                # member, as two_colour_components does
+            colours, parts, odd = two_colour_components(g, subset)
+            assert len(colours) == n
+            assert all(colours[v] == 3 for v in range(n) if v not in subset)
+            # one part per component of the copy, by least member, each
+            # listed in breadth-first order from its least member
+            comps = connected_components(sub)
+            assert [tuple(sorted(p)) for p in parts] == [
+                tuple(back[v] for v in comp) for comp in comps]
+            assert all(p[0] == min(p) for p in parts)
+            want_odd = []
+            for part, comp in zip(parts, comps):
+                # the first proper 2-colouring puts colour 1 on the least
+                # member, as the pass does on a bipartite part
                 h = induced_subgraph(sub, comp)[0]
                 cols = next(helpers.brute_colourings(h, 2), None)
-                want.append((tuple(back[v] for v in comp), cols))
-                odd += cols is None
-            assert two_colour_components(g, subset) == want
-        assert odd > 0
+                if cols is None:
+                    want_odd.append(part)
+                    assert colours[part[0]] == 1
+                else:
+                    assert [colours[back[v]] for v in comp] == list(cols)
+            assert odd == want_odd
+            odd_seen += len(odd)
+        assert odd_seen > 0
 
 
 class TestShortestOddCycle:

@@ -324,15 +324,14 @@ class TestTwinScreens:
         """The component of g around its only odd probe component K, as a
         copy, with K and the probes in the copy's ids; None unless exactly
         one is odd."""
-        parts = two_colour_components(
+        _, _, odd = two_colour_components(
             g, [v for v in range(g.n) if v not in nonprobes])
-        odd = [part for part, cols in parts if cols is None]
         if len(odd) != 1:
             return None
         comp = next(c for c in connected_components(g) if odd[0][0] in c)
         sub, back = induced_subgraph(g, comp)
         probes = frozenset(i for i, v in enumerate(back) if v not in nonprobes)
-        return sub, tuple(back.index(v) for v in odd[0]), probes
+        return sub, tuple(sorted(back.index(v) for v in odd[0])), probes
 
     def test_match_the_whole_k_screens(self):
         seen = collections.Counter()
@@ -342,7 +341,7 @@ class TestTwinScreens:
                 continue
             sub, kverts, probes = found
             kernel, back = induced_subgraph(
-                sub, twin_representatives(sub, range(sub.n), probes))
+                sub, sorted(twin_representatives(sub, range(sub.n), probes)[1]))
             kk = tuple(i for i, v in enumerate(back) if v in kverts)
             k4 = find_k4(kernel, within=kk) is not None
             assert k4 == (helpers.whole_k4(sub) is not None)
@@ -371,8 +370,8 @@ class TestTwinKernel:
     def visited(g, probes):
         """The vertices of the components that hold an odd probe component."""
         out = set()
-        for part, cols in two_colour_components(g, probes):
-            if cols is None and part[0] not in out:
+        for part in two_colour_components(g, probes)[2]:
+            if part[0] not in out:
                 out.update(component_of(g, part[0]))
         return out
 
@@ -381,8 +380,9 @@ class TestTwinKernel:
         for g, nonprobes in TestTwinScreens.draws():
             probes = frozenset(range(g.n)) - frozenset(nonprobes)
             inst = validate_probe_instance(g, probes, frozenset(nonprobes))
-            rep = twin_representatives(g, range(g.n), probes)
-            sub, back = induced_subgraph(g, rep)
+            index, reps = twin_representatives(g, range(g.n), probes)
+            rep = [reps[c] for c in index]
+            sub, back = induced_subgraph(g, sorted(reps))
             sub_probes = frozenset(i for i, v in enumerate(back) if v in probes)
             v = solve_3col(inst)
             w = solve_3col(validate_probe_instance(
@@ -408,6 +408,28 @@ class TestTwinKernel:
         v = solve_3col(inst)
         assert_colourable(inst, v)
         assert v.colouring[0] == v.colouring[1]
+
+    def test_lift_when_the_kernel_order_is_not_the_class_order(self):
+        # nonprobe 0 and probe 5 are false twins, N(0) = N(5) = {2, 3}; their
+        # class is numbered first, but its representative 5 comes last in
+        # the ascending kernel 1..5.  K is the probe triangle 2-3-4, and
+        # probe 1 sees 2 and 4, so 1 and 5 take different colours in every
+        # 3-colouring: a lift that read the kernel in class order would
+        # hand 0 the colour of 1
+        g = build_graph(6, [(0, 2), (0, 3), (1, 2), (1, 4), (2, 3), (2, 4),
+                            (2, 5), (3, 4), (3, 5)])
+        inst = _probe_side(g, {0})
+        assert oracle_is_probe_hfree(g, pattern_graph("p5"), {0}) is not None
+        index, reps = twin_representatives(g, range(g.n), inst.probes)
+        assert index == [0, 1, 2, 3, 4, 0] and reps == [5, 1, 2, 3, 4]
+        v = solve_3col(inst)
+        assert_colourable(inst, v)
+        assert all(v.colouring[u] == v.colouring[reps[c]]
+                   for u, c in enumerate(index))
+        assert v.colouring[1] != v.colouring[5]
+        sub, back = induced_subgraph(g, reps)
+        assert back == (1, 2, 3, 4, 5)
+        assert solve_3col(all_probe(sub)).status == v.status
 
     def test_budget_refusal_names_input_ids(self, monkeypatch):
         import probe_chroma.solver as solver
@@ -742,11 +764,12 @@ class TestScaling:
 
 
 class TestNoWorkingCopies:
-    """One 2-colouring pass over the probe side colours every component
-    whose probe side is bipartite, with no twin grouping and no copy; only a
-    component with an odd probe component is found, by a search from that
-    odd part, and visited.  Its twin kernel is copied on its way to the
-    reference cycle, unless the kernel is the whole input."""
+    """One 2-colouring pass over the probe side writes the solve's colouring
+    list: every component whose probe side is bipartite keeps what the pass
+    wrote, with no twin grouping and no copy.  Only a component with an odd
+    probe component is found, by a search from that odd part, grouped and
+    visited.  Its twin kernel is copied on its way to the reference cycle,
+    unless the kernel is the whole input."""
 
     @staticmethod
     def count_copies(monkeypatch, inst):
@@ -756,15 +779,18 @@ class TestNoWorkingCopies:
                  "pick_reference_cycle": 0, "make_case_decomposition": 0,
                  "two_colour_components": 0, "component_of": 0,
                  "twin_representatives": 0}
-        first_args = {}
+        seen = collections.defaultdict(list)  # name -> (args, result) per call
 
         def counted(name):
             real = getattr(solver, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
-                first_args.setdefault(name, args)
-                return real(*args, **kwargs)
+                out = real(*args, **kwargs)
+                # the pass's colour list is finished in place: keep a copy
+                seen[name].append((args, out if name != "two_colour_components"
+                                   else (list(out[0]), out[2])))
+                return out
             monkeypatch.setattr(solver, name, wrapper)
 
         for name in calls:
@@ -774,12 +800,19 @@ class TestNoWorkingCopies:
         assert_colourable(inst, v)
         # the one probe-side pass, over the whole input; beyond it only the
         # |C| = 3 decomposition 2-colours the probe components outside K
-        assert first_args["two_colour_components"] == (inst.graph, inst.probes)
-        assert (calls["two_colour_components"]
-                == 1 + calls["make_case_decomposition"])
+        (args, (written, odd)), *rest = seen["two_colour_components"]
+        assert args == (inst.graph, inst.probes)
+        assert len(rest) == calls["make_case_decomposition"]
+        # one search and one twin grouping per component with an odd part,
+        # none elsewhere
+        grouped = [args[1] for args, _ in seen["twin_representatives"]]
+        assert grouped == sorted({component_of(inst.graph, p[0]) for p in odd})
         assert len(v.stats.component_two_sat_calls) == calls["component_of"]
-        # one twin grouping per visited component, none elsewhere
         assert calls["twin_representatives"] == calls["component_of"]
+        # every vertex outside them keeps the colour the pass wrote
+        visited = set().union(*grouped)
+        assert all(v.colouring[u] == written[u]
+                   for u in range(inst.graph.n) if u not in visited)
         return calls, len(connected_components(inst.graph))
 
     def test_large_path_split(self, monkeypatch):
