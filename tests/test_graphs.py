@@ -147,13 +147,13 @@ class TestTwoColourComponents:
             assert all(p[0] == min(p) for p in parts)
             want_odd = []
             for part, comp in zip(parts, comps):
+                assert colours[part[0]] == 1
                 # the first proper 2-colouring puts colour 1 on the least
                 # member, as the pass does on a bipartite part
                 h = induced_subgraph(sub, comp)[0]
                 cols = next(helpers.brute_colourings(h, 2), None)
                 if cols is None:
                     want_odd.append(part)
-                    assert colours[part[0]] == 1
                 else:
                     assert [colours[back[v]] for v in comp] == list(cols)
             assert odd == want_odd
