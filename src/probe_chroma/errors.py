@@ -24,10 +24,6 @@ class CapabilityError(RuntimeError):
     """Raised when an input exceeds the documented scale of an operation."""
 
 
-class SearchBudgetExceeded(CapabilityError):
-    """Raised when a backtracking search runs out of its node budget."""
-
-
 class ListSizeError(ValueError):
     """Raised when a vertex offered to the 2-list extension has more than two
     admissible colours."""

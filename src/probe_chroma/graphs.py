@@ -21,7 +21,6 @@ from .errors import (
     GraphConstructionError,
     IndependenceError,
     PartitionError,
-    SearchBudgetExceeded,
 )
 
 PATTERN_ORDER_CAP = 10
@@ -440,15 +439,14 @@ def find_k4(g: Graph, *, within=None):
     return None
 
 
-def find_induced_subgraph(host: Graph, pattern: Graph, *, within=None,
-                          node_budget=None):
+def find_induced_subgraph(host: Graph, pattern: Graph, *, within=None):
     """First induced copy of ``pattern`` in ``host`` in lexicographic image
     order, or None.
 
     With a vertex set ``within`` the copy is sought in ``host[within]``, in
     host ids and without building that subgraph.  Backtracking over pattern
-    vertices in id order with bitset forward checking; exceeding
-    ``node_budget`` raises :class:`SearchBudgetExceeded`.
+    vertices in id order with bitset forward checking; the pattern order is
+    capped at ``PATTERN_ORDER_CAP``, and the search has no other bound.
     """
     p = pattern.n
     if p > PATTERN_ORDER_CAP:
@@ -462,23 +460,17 @@ def find_induced_subgraph(host: Graph, pattern: Graph, *, within=None,
     if p > mask.bit_count():
         return None
     image = [0] * p
-    if _embed_from(host.bitrows(), pattern, image, [mask] * p, [0], node_budget):
+    if _embed_from(host.bitrows(), pattern, image, [mask] * p):
         return InducedEmbedding(pattern, host, tuple(image))
     return None
 
 
-def _embed_from(rows, pattern, image, cands, counter, node_budget):
+def _embed_from(rows, pattern, image, cands):
     """Place pattern vertices d = p - len(cands) to p - 1 into ``image``,
-    vertex j on a host vertex of ``cands[j - d]``; True once all are placed.
-    ``counter[0]`` counts the nodes tried against ``node_budget``."""
+    vertex j on a host vertex of ``cands[j - d]``; True once all are placed."""
     p = pattern.n
     d = p - len(cands)
     for x in iter_bits(cands[0]):
-        counter[0] += 1
-        if node_budget is not None and counter[0] > node_budget:
-            raise SearchBudgetExceeded(
-                f"induced-pattern search exceeded {node_budget} nodes"
-            )
         image[d] = x
         if d + 1 == p:
             return True
@@ -492,6 +484,6 @@ def _embed_from(rows, pattern, image, cands, counter, node_budget):
                 break
             nxt.append(row)
         else:
-            if _embed_from(rows, pattern, image, nxt, counter, node_budget):
+            if _embed_from(rows, pattern, image, nxt):
                 return True
     return False

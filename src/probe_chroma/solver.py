@@ -24,11 +24,9 @@ from .graphs import (
     ProbeInstance,
     _canonical_cycle,
     component_of,
-    find_induced_subgraph,
     find_k4,
     induced_subgraph,
     iter_bits,
-    pattern_graph,
     shortest_odd_cycle,
     twin_representatives,
     two_colour_components,
@@ -45,9 +43,6 @@ NOT_PROBE_P5_FREE = "not_probe_p5_free"
 # proper colourings and each takes one round; a triangle has 6, each dominating
 # pair up to 9 and each forks into at most 3 attempts at the M_u witness
 COMPONENT_TWO_SAT_BUDGET = 162
-C5_SEARCH_NODE_BUDGET = 5_000_000  # node cap of the induced-C5 search
-
-_C5 = pattern_graph("c5")
 
 
 @dataclass
@@ -195,12 +190,9 @@ def solve_3col(inst: ProbeInstance, *, oracle_fallback: bool = False) -> Verdict
     ``two-sat-budget-exceeded`` when one component needs more than
     ``COMPONENT_TWO_SAT_BUDGET`` 2-SAT rounds.
 
-    The only exception that escapes is :class:`CapabilityError`: its
-    subclass ``SearchBudgetExceeded`` when the induced-C5 search, which
-    runs on the twin kernel, passes
-    ``C5_SEARCH_NODE_BUDGET`` nodes, or the brute-force cap of
-    ``oracle_k_colourable`` when ``oracle_fallback`` re-solves a refused
-    component of more than 30 vertices.
+    The only exception that escapes is :class:`CapabilityError`, from the
+    brute-force cap of ``oracle_k_colourable`` when ``oracle_fallback``
+    re-solves a refused component of more than 30 vertices.
     """
     stats = SolveStats(two_sat_budget=COMPONENT_TWO_SAT_BUDGET)
     g, probes = inst.graph, inst.probes
@@ -337,25 +329,49 @@ def _propagate_and_extend(g, start, stats, skip=frozenset(), equalities=()):
 def pick_reference_cycle(g: Graph, kverts) -> tuple:
     """Reference cycle of the non-bipartite probe component ``kverts`` of g.
 
-    Preference order: lexicographically least induced C5; else the least
-    triangle dominating the component; else the least triangle.  Each is
-    searched in g under the vertex mask of ``kverts``.  The solver passes a
-    twin-free kernel; on a K with false twins the answer is the same,
-    because putting a smaller false twin in place of a vertex keeps a C5
-    induced and a triangle dominating, and lowers it, but the C5 search
-    grows with the twins.  A non-bipartite component with neither (odd
-    girth 7 or more) cannot be probe P5-free; its witness is the shortest
-    odd cycle of the copy G[K], which :func:`shortest_odd_cycle` picks by
-    the relative order of K's ids alone, whatever g's other ids.  A
-    bipartite ``kverts`` raises ValueError.  The C5 search gives up past
-    ``C5_SEARCH_NODE_BUDGET`` nodes with :class:`SearchBudgetExceeded`.
+    Preference order: an induced C5; else the least triangle dominating the
+    component; else the least triangle; else, when the odd girth is 5, the
+    shortest odd cycle, which is an induced C5 (a chord would close a
+    triangle).  Each is searched in g under the vertex mask of ``kverts``.
+
+    The C5 comes from one bitset step per induced P3 a-b-c of K, taken in
+    lexicographic order.  With D = N(c) - N[a, b] and E = N(a) - N[b, c]
+    inside K, and d = min D, the first prefix at which d sees some e of E
+    gives the cycle a-b-c-d-e, e least.  In a P5-free K every d of D sees
+    every e of E, for else e-a-b-c-d is an induced P5.  So under the
+    promise, where G[K] is P5-free, this is the lexicographically least
+    induced C5, and on any K the scan takes one step per prefix.  A K that
+    breaks the promise may hide its C5s from the scan; the odd-girth
+    fallback still finds one when K has no triangle.
+
+    The solver passes a twin-free kernel; on a K with false twins the C5
+    and triangle scans give the same answer, because putting a smaller
+    false twin in place of a vertex keeps a prefix's D and E, a C5 induced
+    and a triangle dominating, and lowers it.  A non-bipartite component
+    with none of these (odd girth 7 or more) cannot be probe P5-free; its
+    witness is the shortest odd cycle of the copy G[K], which
+    :func:`shortest_odd_cycle` picks by the relative order of K's ids
+    alone, whatever g's other ids.  A bipartite ``kverts`` raises
+    ValueError.
     """
-    emb = find_induced_subgraph(g, _C5, within=kverts,
-                                node_budget=C5_SEARCH_NODE_BUDGET)
-    if emb is not None:
-        return _canonical_cycle(list(emb.image))
     rows = g.bitrows()
     kmask = sum(1 << v for v in set(kverts))
+    for a in iter_bits(kmask):
+        na = rows[a] & kmask
+        for b in iter_bits(na):
+            rb = rows[b]
+            dmask = kmask & ~(na | rb | 1 << a | 1 << b)  # K - N[a, b]
+            emask = na & ~(rb | 1 << b)  # N(a) - N[b], inside K
+            for c in iter_bits(rb & kmask & ~(na | 1 << a)):
+                rc = rows[c]
+                dset = rc & dmask
+                eset = emask & ~rc
+                if dset and eset:
+                    d = (dset & -dset).bit_length() - 1
+                    hit = eset & rows[d]
+                    if hit:
+                        e = (hit & -hit).bit_length() - 1
+                        return _canonical_cycle([a, b, c, d, e])
     first_tri = None
     for u in iter_bits(kmask):
         ku = rows[u] & kmask
@@ -373,6 +389,8 @@ def pick_reference_cycle(g: Graph, kverts) -> tuple:
     cyc = shortest_odd_cycle(gk)
     if cyc is None:
         raise ValueError("reference cycle requires a non-bipartite graph")
+    if len(cyc) == 5:  # kmap ascends, so the cycle stays canonical
+        return tuple([kmap[v] for v in cyc])
     raise PromiseViolation(
         "long-induced-odd-cycle", [kmap[v] for v in cyc],
         f"shortest odd cycle has length {len(cyc)}; only 3 or 5 can occur",

@@ -10,7 +10,6 @@ from probe_chroma.graphs import (
     PartialColouring,
     _canonical_cycle,
     build_graph,
-    find_induced_subgraph,
     induced_subgraph,
     iter_bits,
     shortest_odd_cycle,
@@ -252,15 +251,23 @@ def whole_k4(g: Graph):
 
 
 def whole_k_reference_cycle(g: Graph, kverts) -> tuple:
-    """Reference for ``solver.pick_reference_cycle``: the C5 search under
-    the mask of all of ``kverts`` and the triangle scan over all of K."""
+    """Reference for ``solver.pick_reference_cycle`` over all of ``kverts``:
+    the C5 scan on plain neighbour sets, one step per induced P3 a-b-c of
+    K in lexicographic order, then the triangle scan and the odd-girth
+    fallback."""
     from probe_chroma.errors import PromiseViolation
-    from probe_chroma.solver import _C5, C5_SEARCH_NODE_BUDGET
 
-    emb = find_induced_subgraph(g, _C5, within=kverts,
-                                node_budget=C5_SEARCH_NODE_BUDGET)
-    if emb is not None:
-        return _canonical_cycle(list(emb.image))
+    kset = set(kverts)
+    nbr = {v: g.adj[v] & kset for v in kset}
+    for a in sorted(kset):
+        for b in sorted(nbr[a]):
+            for c in sorted(nbr[b] - nbr[a] - {a}):
+                ds = nbr[c] - nbr[a] - nbr[b] - {a, b}
+                es = nbr[a] - nbr[b] - nbr[c] - {b, c}
+                if ds and es:
+                    d = min(ds)
+                    if es & nbr[d]:
+                        return _canonical_cycle([a, b, c, d, min(es & nbr[d])])
     rows = g.bitrows()
     kmask = sum(1 << v for v in set(kverts))
     first_tri = None
@@ -280,6 +287,8 @@ def whole_k_reference_cycle(g: Graph, kverts) -> tuple:
     cyc = shortest_odd_cycle(gk)
     if cyc is None:
         raise ValueError("reference cycle requires a non-bipartite graph")
+    if len(cyc) == 5:
+        return tuple(kmap[v] for v in cyc)
     raise PromiseViolation(
         "long-induced-odd-cycle", [kmap[v] for v in cyc],
         f"shortest odd cycle has length {len(cyc)}; only 3 or 5 can occur",

@@ -8,11 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
-from probe_chroma.errors import (
-    CapabilityError,
-    PromiseViolation,
-    SearchBudgetExceeded,
-)
+from probe_chroma.errors import CapabilityError, PromiseViolation
 from probe_chroma.graphs import (
     build_graph,
     cycle_graph,
@@ -73,13 +69,6 @@ class TestVerdictContract:
             assert v.status != NOT_PROBE_P5_FREE
             colourable = oracle_k_colourable(g, 3) is not None
             assert v.status == (COLOURABLE if colourable else NOT_COLOURABLE)
-
-    def test_search_budget_escapes(self, monkeypatch):
-        import probe_chroma.solver as solver
-
-        monkeypatch.setattr(solver, "C5_SEARCH_NODE_BUDGET", 1)
-        with pytest.raises(SearchBudgetExceeded):
-            solve_3col(all_probe(cycle_graph(5)))
 
     def test_fallback_past_the_oracle_cap_escapes(self):
         with pytest.raises(CapabilityError):

@@ -18,7 +18,9 @@ from probe_chroma.generators import (
     gen_probe_instance,
 )
 from probe_chroma.graphs import (
+    InducedEmbedding,
     PartialColouring,
+    _canonical_cycle,
     build_graph,
     complete_graph,
     complete_multipartite_graph,
@@ -26,6 +28,7 @@ from probe_chroma.graphs import (
     connected_components,
     cycle_graph,
     disjoint_union,
+    find_induced_subgraph,
     find_k4,
     induced_subgraph,
     path_graph,
@@ -241,6 +244,19 @@ class TestReferenceCycle:
         assert e.value.claim == "long-induced-odd-cycle"
         assert len(e.value.witnesses) == 9
 
+    def test_c5_hidden_from_the_scan_comes_from_the_odd_girth(self):
+        # triangle-free and not P5-free: at each of the 36 prefixes with D
+        # and E nonempty, min D misses E, so the scan finds no C5; the
+        # shortest odd cycle 5-8-9-7-10 is one
+        edges = [(0, 1), (0, 3), (0, 8), (1, 9), (2, 3), (2, 4), (2, 10),
+                 (3, 5), (4, 5), (5, 8), (5, 10), (6, 7), (7, 9), (7, 10),
+                 (8, 9)]
+        g = build_graph(11, edges)
+        cycle = pick_reference_cycle(g, range(g.n))
+        InducedEmbedding(pattern_graph("c5"), g, cycle)  # raises unless induced
+        inst = all_probe(g)
+        assert_colourable(inst, solve_3col(inst))
+
     def test_triangle_through_a_vertex_outside_k_is_ignored(self):
         # (0,1,2) dominates g, but vertex 0 lies outside K
         edges = [(0, 1), (0, 2), (0, 5), (1, 2), (2, 3), (2, 4), (3, 4), (4, 5)]
@@ -287,9 +303,115 @@ class TestReferenceCycle:
             sub, back = induced_subgraph(g, kverts)
             got = self.outcome(g, kverts, range(n))
             assert got == self.outcome(sub, range(sub.n), back)
+            if got[0] == "long-induced-odd-cycle":
+                assert len(got[1]) >= 7
             seen[got if isinstance(got, str) else
                  got[0] if isinstance(got[0], str) else len(got)] += 1
         assert set(seen) == {3, 5, "bipartite", "long-induced-odd-cycle"}
+
+
+def crown_with_triangle(k):
+    """K_{k,k} minus a perfect matching, plus a vertex on its edge 0-(k+1):
+    all probes, 3-colourable, and full of induced P5s."""
+    edges = [(i, k + j) for i in range(k) for j in range(k) if i != j]
+    return build_graph(2 * k + 1, edges + [(2 * k, 0), (2 * k, k + 1)])
+
+
+def layers_with_triangle(k, depth=5):
+    """``depth`` independent layers of k vertices, each joined to the next
+    by K_{k,k} minus a perfect matching, plus a vertex on the edge
+    0-(k+1)."""
+    edges = [(i * k + x, (i + 1) * k + y) for i in range(depth - 1)
+             for x in range(k) for y in range(k) if x != y]
+    n = depth * k
+    return build_graph(n + 1, edges + [(n, 0), (n, k + 1)])
+
+
+class TestC5Scan:
+    """The reference cycle's C5 scan, one step per induced P3 of K, against
+    the full backtracking search: the same least C5 when G[K] is P5-free,
+    and on any K either the same one or an induced P5 inside K that let the
+    scan pass it by."""
+
+    C5, P5 = pattern_graph("c5"), pattern_graph("p5")
+
+    @staticmethod
+    def p5free_draw(rng, seed):
+        """A P5-free graph with shuffled ids: for one seed in three a
+        ``gen_p5free_host`` on 5-40 vertices, else five of them on 1-8
+        vertices each put in place of the vertices of a C5.  P5 has no nontrivial module, so the substitution
+        keeps the graph P5-free."""
+        if seed % 3 == 0:
+            g = gen_p5free_host(rng.randint(5, 40), rng.uniform(0.2, 0.8), seed)
+        else:
+            parts = [gen_p5free_host(rng.randint(1, 8), rng.uniform(0.2, 0.8),
+                                     (seed, i)) for i in range(5)]
+            starts = [sum(p.n for p in parts[:i]) for i in range(6)]
+            edges = [(starts[i] + a, starts[(i + 1) % 5] + b) for i in range(5)
+                     for a in range(parts[i].n)
+                     for b in range(parts[(i + 1) % 5].n)]
+            g = build_graph(starts[5], list(disjoint_union(parts).edges) + edges)
+        perm = rng.sample(range(g.n), g.n)
+        return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+    def scan_and_search(self, g, kverts):
+        """(the least induced C5 of G[kverts] by full search, or None;
+        pick_reference_cycle's cycle, "bipartite" or refusal claim)."""
+        emb = find_induced_subgraph(g, self.C5, within=kverts)
+        want = None if emb is None else _canonical_cycle(list(emb.image))
+        try:
+            got = pick_reference_cycle(g, kverts)
+        except ValueError:
+            got = "bipartite"
+        except PromiseViolation as pv:
+            got = pv.claim
+        if want is None:  # no C5 to find
+            assert isinstance(got, str) or len(got) == 3
+        return want, got
+
+    def test_least_c5_on_p5_free_graphs(self):
+        rng = random.Random(19)
+        seen = collections.Counter()
+        for seed in range(3000):
+            g = self.p5free_draw(rng, seed)
+            kverts = [v for v in range(g.n) if rng.random() < 0.8]
+            want, got = self.scan_and_search(g, kverts)
+            if want is not None:
+                assert got == want
+            else:
+                assert got == "bipartite" or len(got) == 3
+            seen["c5" if want else got if isinstance(got, str) else 3] += 1
+        assert seen["c5"] >= 1000 and seen[3] >= 500 and seen["bipartite"] >= 100
+
+    def test_same_c5_or_an_induced_p5_on_random_graphs(self):
+        rng = random.Random(23)
+        seen = collections.Counter()
+        for _ in range(2000):
+            n = rng.randint(5, 14)
+            g = helpers.random_graph(n, rng.uniform(0.15, 0.6), rng)
+            kverts = [v for v in range(n) if rng.random() < 0.8]
+            want, got = self.scan_and_search(g, kverts)
+            if want is not None and got != want:
+                assert find_induced_subgraph(g, self.P5, within=kverts)
+                seen["passed by"] += 1
+            seen["c5"] += want is not None
+        assert seen["c5"] >= 300 and seen["passed by"] >= 1
+
+    @pytest.mark.parametrize("make,k", [(crown_with_triangle, 5),
+                                        (crown_with_triangle, 40),
+                                        (layers_with_triangle, 3),
+                                        (layers_with_triangle, 10)])
+    def test_dense_promise_breakers_get_a_certified_verdict(self, make, k):
+        # the full C5 search tries every d of every P3 on these; the scan
+        # one.  Both are 3-colourable, so a verdict is a certified
+        # colouring or a refusal with its witnesses
+        g = make(k)
+        assert find_induced_subgraph(g, self.P5) is not None
+        v = solve_3col(all_probe(g))
+        if v.status == NOT_PROBE_P5_FREE:
+            assert v.diagnostic["witnesses"]
+        else:
+            assert_colourable(all_probe(g), v)
 
 
 def _refusal_or(pick, *args):
