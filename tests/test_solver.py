@@ -189,8 +189,8 @@ class TestP5FreeSolver:
 
     def test_p4_blowup_with_hub(self):
         # parts A-B-C-D of 100, complete between consecutive parts, and a
-        # hub complete to A and B: C5-free, so the C5 search sees every
-        # vertex of K unless it runs on one vertex per twin class
+        # hub complete to A and B: C5-free, so the C5 scan walks every
+        # induced P3 of K unless it runs on one vertex per twin class
         a = 100
         edges = [(i * a + x, (i + 1) * a + y)
                  for i in range(3) for x in range(a) for y in range(a)]
