@@ -189,10 +189,13 @@ def pattern_graph(name: str) -> Graph:
 def induced_subgraph(g: Graph, vertices) -> tuple:
     """Induced subgraph on ``vertices`` plus the new-to-old id mapping; ids
     of a valid graph need no :func:`build_graph` checks, and ascending rows
-    list the edges sorted."""
+    list the edges sorted.  A row is read as the intersection of two
+    frozensets, which walks the smaller one, so a small copy of dense
+    vertices costs its own size rather than their host degree."""
     keep = sorted(set(vertices))
+    kset = frozenset(keep)
     index = {old: new for new, old in enumerate(keep)}
-    adj = [frozenset([index[w] for w in g.adj[u] if w in index]) for u in keep]
+    adj = [frozenset([index[w] for w in kset & g.adj[u]]) for u in keep]
     edges = [(u, w) for u, row in enumerate(adj) for w in sorted(row) if u < w]
     return Graph(len(keep), tuple(edges), tuple(adj)), tuple(keep)
 
@@ -290,6 +293,34 @@ def component_of(g: Graph, s: int) -> tuple:
     return tuple(comp)
 
 
+def twin_classes(g: Graph, s: int) -> dict:
+    """The component of vertex ``s``, grouped into classes of false twins
+    (equal neighbour sets).
+
+    Returns a dict from each class's neighbour set to the list of its
+    members, classes in breadth-first order from ``s``.  Only the first
+    member found of a class is expanded: its twins have exactly its
+    neighbours.  So each vertex costs one dict lookup, and each class one
+    set difference of its neighbour set.
+    """
+    adj = g.adj
+    classes = {adj[s]: [s]}
+    seen = {s}
+    queue = [s]
+    for v in queue:  # grows while scanned: one vertex per class
+        new = adj[v] - seen
+        if new:
+            seen |= new
+            for w in new:
+                members = classes.get(adj[w])
+                if members is None:
+                    classes[adj[w]] = [w]
+                    queue.append(w)
+                else:
+                    members.append(w)
+    return classes
+
+
 def two_colour_components(g: Graph, vertices) -> tuple:
     """2-colour every component of g[vertices] in one breadth-first pass.
 
@@ -302,10 +333,11 @@ def two_colour_components(g: Graph, vertices) -> tuple:
     """
     adj = g.adj
     colours = [3] * g.n
-    for v in vertices:
+    order = sorted(vertices)
+    for v in order:
         colours[v] = 0
     parts, odd = [], []
-    for s in range(g.n):
+    for s in order:
         if colours[s]:
             continue
         colours[s] = 1
@@ -393,29 +425,6 @@ def iter_bits(row: int):
         low = row & -row
         yield low.bit_length() - 1
         row ^= low
-
-
-def twin_representatives(g: Graph, vertices, probes) -> tuple:
-    """Group the ascending ``vertices`` into classes of false twins (equal
-    neighbour sets in g).
-
-    Returns ``(index, reps)``: ``index[i]`` is the class of ``vertices[i]``,
-    classes numbered in order of their least member, and ``reps[c]`` is the
-    representative of class c: its least member in ``probes``, or its least
-    member when it holds no probe.
-    """
-    adj = g.adj
-    cls = {}
-    index, reps = [], []
-    for v in vertices:
-        c = cls.get(adj[v])
-        if c is None:
-            c = cls[adj[v]] = len(reps)
-            reps.append(v)
-        elif v in probes and reps[c] not in probes:
-            reps[c] = v
-        index.append(c)
-    return index, reps
 
 
 def find_k4(g: Graph, *, within=None):

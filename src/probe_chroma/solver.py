@@ -23,12 +23,11 @@ from .graphs import (
     PartialColouring,
     ProbeInstance,
     _canonical_cycle,
-    component_of,
     find_k4,
     induced_subgraph,
     iter_bits,
     shortest_odd_cycle,
-    twin_representatives,
+    twin_classes,
     two_colour_components,
 )
 from .listcol import EqualityConstraint, extend_by_2list
@@ -88,12 +87,18 @@ class Verdict:
     stats: SolveStats
 
 
+_COLOURS = frozenset((1, 2, 3))
+
+
 def verify_colouring(g: Graph, colouring):
     """None when proper with colours in 1..3; otherwise the violation:
     ("range", vertex) or ("edge", (u, v))."""
-    for v, c in enumerate(colouring):
-        if not 1 <= c <= 3:
-            return ("range", v)
+    # one C-level set test; the loop runs only to name the bad vertex, and
+    # decides values such as 2.5 that lie in 1..3 but not in the set
+    if not _COLOURS.issuperset(colouring):
+        for v, c in enumerate(colouring):
+            if not 1 <= c <= 3:
+                return ("range", v)
     for u, v in g.edges:
         if colouring[u] == colouring[v]:
             return ("edge", (u, v))
@@ -115,28 +120,35 @@ def colour_components(g: Graph, probes, comps, colours, stats: SolveStats,
                       colour_component, oracle_fallback: bool):
     """Colour the connected components ``comps`` of g into ``colours``.
 
-    ``colour_component(g, comp, probes, stats)`` gets g itself and the
-    sorted tuple ``comp`` of one component's vertices, and returns the
-    component's colouring aligned with ``comp``, or None when it has no
-    3-colouring.  It copies the component only where it needs one, through
-    :func:`component_copy`, whose ids are positions in ``comp``; its
+    Each component comes as a pair ``(kernel, twins)``: ``kernel`` is an
+    ascending tuple of its vertices whose colouring decides it, and
+    ``twins`` holds pairs ``(i, members)``, each listing vertices that take
+    the colour of ``kernel[i]``; every other vertex of the component is in
+    ``kernel``.  ``colour_component(g, kernel, probes, stats)`` returns the
+    kernel's colouring aligned with ``kernel``, or None when it has no
+    3-colouring.  It copies the kernel where it needs one, through
+    :func:`component_copy`, whose ids are positions in ``kernel``; its
     refusals name those positions and come back here with g's ids.  With
-    ``oracle_fallback`` a refused component is re-solved by brute force
+    ``oracle_fallback`` a refused kernel is re-solved by brute force
     instead.  Returns ``colours``, or None at the first component without a
     3-colouring.
     """
-    for comp in comps:
-        stats.start_component(range(len(comp)))
+    for kernel, twins in comps:
+        stats.start_component(range(len(kernel)))
         try:
-            res = colour_component(g, comp, probes, stats)
+            res = colour_component(g, kernel, probes, stats)
         except PromiseViolation as pv:
             if not oracle_fallback:
-                raise pv.translated(comp)
-            res = oracle_k_colourable(component_copy(g, comp, probes)[0], 3)
+                raise pv.translated(kernel)
+            res = oracle_k_colourable(component_copy(g, kernel, probes)[0], 3)
         if res is None:
             return None
-        for v, c in zip(comp, res):
+        for v, c in zip(kernel, res):
             colours[v] = c
+        for i, members in twins:
+            c = res[i]
+            for v in members:
+                colours[v] = c
     return colours
 
 
@@ -144,7 +156,7 @@ def component_copy(g: Graph, comp, probes):
     """The copy G[comp] and its probe set; g itself when ``comp`` spans g.
 
     The copy's ids are positions in the ascending ``comp``, so the
-    colourings and refusals of a whole component's copy are what
+    colourings and refusals of a kernel's copy are what
     :func:`colour_components` expects.
     """
     if len(comp) == g.n:
@@ -179,10 +191,11 @@ def solve_3col(inst: ProbeInstance, *, oracle_fallback: bool = False) -> Verdict
     """Decide 3-colourability of a partitioned probe P5-free instance.
 
     Bipartite probe components take their 2-colourings and nonprobes colour
-    3; each component with an odd probe component then goes, by least member,
-    through the probe component algorithm on its twin kernel.  That is
-    enough: a component whose graph is P5-free is probe P5-free under any
-    independent nonprobe set.
+    3; each component with an odd probe component is then found by one
+    search that groups it into classes of false twins, and goes, by least
+    member, through the probe component algorithm on its twin kernel, whose
+    colours its classes take.  That is enough: a component whose graph is
+    P5-free is probe P5-free under any independent nonprobe set.
 
     Returns one of three verdicts.  A failed structural claim becomes a
     ``not_probe_p5_free`` verdict whose diagnostic names the claim and
@@ -192,25 +205,67 @@ def solve_3col(inst: ProbeInstance, *, oracle_fallback: bool = False) -> Verdict
 
     The only exception that escapes is :class:`CapabilityError`, from the
     brute-force cap of ``oracle_k_colourable`` when ``oracle_fallback``
-    re-solves a refused component of more than 30 vertices.
+    re-solves a refused component whose twin kernel has more than 30
+    vertices.
     """
     stats = SolveStats(two_sat_budget=COMPONENT_TWO_SAT_BUDGET)
     g, probes = inst.graph, inst.probes
 
     def colour():
         colours, _, odd_parts = two_colour_components(g, probes)
-        comps, odd = [], {}  # vertex -> the odd probe parts of its component
+        comps, odd = [], {}  # neighbour set -> the odd parts of its component
         for part in odd_parts:
-            if part[0] not in odd:  # one list, shared by the component
-                comps.append(component_of(g, part[0]))
-                odd.update(dict.fromkeys(comps[-1], []))
-            odd[part[0]].append(part)
+            # a vertex of an odd part has neighbours, and equal nonempty
+            # neighbour sets lie in one component
+            parts = odd.get(g.adj[part[0]])
+            if parts is None:
+                classes = twin_classes(g, part[0])
+                parts = []
+                odd.update(dict.fromkeys(classes, parts))
+                comps.append(_twin_kernel(classes.values(), probes))
+            parts.append(part)
+        comps.sort()  # by least member
         return colour_components(
-            g, probes, sorted(comps), colours, stats,
-            lambda host, comp, host_probes, st: _probe_component_core(
-                host, comp, host_probes, odd[comp[0]], st), oracle_fallback)
+            g, probes, ((kernel, twins) for _, kernel, twins in comps),
+            colours, stats,
+            lambda host, kernel, host_probes, st: _probe_component_core(
+                host, kernel, host_probes, odd[g.adj[kernel[0]]], st),
+            oracle_fallback)
 
     return run_solver(g, stats, colour)
+
+
+def _twin_kernel(classes, probes) -> tuple:
+    """``(least, kernel, twins)`` of one component given as its classes of
+    false twins: its least vertex, the ascending tuple of one representative
+    per class (the class's least probe, else its least member), and for
+    each class of two or more, the pair of its representative's position in
+    the kernel and its members.
+
+    False twins are never adjacent, so a colouring of the kernel lifts to
+    the component, each twin taking its representative's colour; the
+    kernel is induced, so it keeps the promise, and it has no twins left.
+    Probes represent first, so that the kernel keeps every odd probe cycle.
+    Every component found waits for its visit with what this returns, so a
+    class of one keeps no list of its own: many small components would
+    otherwise keep a container per vertex alive for the cyclic garbage
+    collector to count and scan.
+    """
+    least, reps, twins = None, [], []
+    for members in classes:
+        if len(members) == 1:
+            rep = low = members[0]
+        else:
+            low = min(members)
+            rep = low if low in probes else min(
+                probes.intersection(members), default=low)
+            twins.append((rep, members))
+        reps.append(rep)
+        if least is None or low < least:
+            least = low
+    reps.sort()
+    return least, tuple(reps), tuple(
+        [(bisect_left(reps, rep), members) for rep, members in twins])
 
 
 def _proper_assignments(g, verts, base):
@@ -261,30 +316,13 @@ def _try_extend(g, partial, equalities, stats, skip=frozenset()):
 
 # ------------------------------------------------------------- probe component
 
-def _probe_component_core(g, comp, probes, odd, stats):
+def _probe_component_core(g, kernel, probes, odd, stats):
+    """One component's twin ``kernel`` with its odd probe parts ``odd``."""
     if len(odd) >= 2:
         return None
-    # false twins are never adjacent, so a colouring of the kernel, one
-    # representative per twin class, lifts to the component; the kernel is
-    # induced, so it keeps the promise, and it has no twins left.  Probes
-    # represent first, so that K keeps its odd cycle.  The kernel is copied
-    # in ascending order of ids, which need not be the order of the classes
-    index, reps = twin_representatives(g, comp, probes)
-    order = sorted(range(len(reps)), key=reps.__getitem__)
-    kernel = [reps[c] for c in order]
     kset = frozenset(odd[0])
     kverts = tuple([j for j, v in enumerate(kernel) if v in kset])
-    stats.component_vertices = range(len(kernel))  # budget witnesses: kernel ids
-    try:
-        out = _kernel_core(*component_copy(g, kernel, probes), kverts, stats)
-    except PromiseViolation as pv:
-        raise pv.translated([bisect_left(comp, v) for v in kernel])
-    if out is None:
-        return None
-    class_colour = [0] * len(reps)
-    for c, col in zip(order, out):
-        class_colour[c] = col
-    return [class_colour[c] for c in index]
+    return _kernel_core(*component_copy(g, kernel, probes), kverts, stats)
 
 
 def _kernel_core(g, probes, kverts, stats):

@@ -62,7 +62,8 @@ def solve_3col_p3sp1(inst: ProbeInstance, s: int, *,
         h_probes = frozenset(i for i, old in enumerate(hmap) if old in inst.probes)
         try:
             rest = colour_components(
-                h, h_probes, connected_components(h), [0] * h.n, stats,
+                h, h_probes, [(comp, ()) for comp in connected_components(h)],
+                [0] * h.n, stats,
                 lambda host, comp, host_probes, st: _p3sp1_component(
                     *component_copy(host, comp, host_probes), s, st),
                 oracle_fallback)

@@ -295,6 +295,41 @@ def whole_k_reference_cycle(g: Graph, kverts) -> tuple:
     )
 
 
+def loop_verify_colouring(g: Graph, colouring):
+    """Reference for ``solver.verify_colouring``: the range test as a loop
+    over every colour, then the edge scan."""
+    for v, c in enumerate(colouring):
+        if not 1 <= c <= 3:
+            return ("range", v)
+    for u, v in g.edges:
+        if colouring[u] == colouring[v]:
+            return ("edge", (u, v))
+    return None
+
+
+def twin_representatives(g: Graph, vertices, probes) -> tuple:
+    """Reference for the solver's twin kernel: group the ascending
+    ``vertices`` into classes of false twins (equal neighbour sets in g),
+    one vertex at a time.
+
+    Returns ``(index, reps)``: ``index[i]`` is the class of ``vertices[i]``,
+    classes numbered in order of their least member, and ``reps[c]`` is the
+    representative of class c: its least member in ``probes``, or its least
+    member when it holds no probe.
+    """
+    cls = {}
+    index, reps = [], []
+    for v in vertices:
+        c = cls.get(g.adj[v])
+        if c is None:
+            c = cls[g.adj[v]] = len(reps)
+            reps.append(v)
+        elif v in probes and reps[c] not in probes:
+            reps[c] = v
+        index.append(c)
+    return index, reps
+
+
 def twin_draw(rng):
     """A random graph (n 5-12) in which 1-3 vertices are blown up into 2-4
     non-adjacent copies, with a random independent nonprobe set: some of

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -28,6 +29,7 @@ from probe_chroma.graphs import (
     path_graph,
     pattern_graph,
     shortest_odd_cycle,
+    twin_classes,
     two_colour_components,
     validate_probe_instance,
 )
@@ -114,6 +116,40 @@ class TestComponents:
             g = helpers.random_graph(n, rng.uniform(0.05, 0.4), rng)
             for comp in connected_components(g):
                 assert all(component_of(g, v) == comp for v in comp)
+
+
+class TestTwinClasses:
+    def test_pentagon_blowup(self):
+        # parts {0, 5}, {1}, {2, 6, 7}, {3}, {4} of a C5
+        part = [0, 1, 2, 3, 4, 0, 2, 2]
+        g = build_graph(8, [(u, v) for u in range(8) for v in range(u + 1, 8)
+                            if (part[u] - part[v]) % 5 in (1, 4)])
+        classes = twin_classes(g, 3)
+        found = [sorted(m) for m in classes.values()]
+        assert found[0] == [3]
+        assert sorted(found) == [[0, 5], [1], [2, 6, 7], [3], [4]]
+        assert all(g.adj[v] == adj for adj, m in classes.items() for v in m)
+
+    def test_isolated_vertex(self):
+        assert twin_classes(build_graph(3, [(0, 1)]), 2) == {frozenset(): [2]}
+
+    def test_matches_component_and_grouping(self):
+        rng = random.Random(29)
+        twins = 0
+        for _ in range(1500):
+            g, _ = helpers.twin_draw(rng)
+            for s in rng.sample(range(g.n), 3):
+                comp = component_of(g, s)
+                classes = twin_classes(g, s)
+                members = [v for m in classes.values() for v in m]
+                assert sorted(members) == list(comp)
+                assert next(iter(classes.values()))[0] == s
+                grouped = collections.defaultdict(list)
+                for v in comp:
+                    grouped[g.adj[v]].append(v)
+                assert {adj: sorted(m) for adj, m in classes.items()} == grouped
+                twins += len(classes) < len(comp)
+        assert twins >= 1000
 
 
 class TestTwoColourComponents:

@@ -33,7 +33,6 @@ from probe_chroma.graphs import (
     induced_subgraph,
     path_graph,
     pattern_graph,
-    twin_representatives,
     two_colour_components,
     validate_probe_instance,
 )
@@ -76,6 +75,33 @@ class TestVerifyColouring:
 
     def test_colour_out_of_range(self):
         assert verify_colouring(cycle_graph(5), (1, 2, 1, 2, 4)) == ("range", 4)
+
+    def test_in_range_values_outside_the_colour_set(self):
+        # 2.5 and True lie in 1..3, so only the edge scan can reject them
+        assert verify_colouring(path_graph(3), (1, 2.5, 1)) is None
+        assert verify_colouring(path_graph(3), (True, 2, 1)) is None
+        assert verify_colouring(path_graph(3), (True, 1, 2)) == ("edge", (0, 1))
+
+    def test_matches_the_loop(self):
+        rng = random.Random(23)
+        seen = collections.Counter()
+        for _ in range(3000):
+            n = rng.randint(1, 12)
+            g = helpers.random_graph(n, rng.uniform(0.1, 0.5), rng)
+            # a greedy proper colouring where one exists, then bad entries
+            # and clashing edges at random
+            colouring = []
+            for v in range(n):
+                taken = {colouring[w] for w in g.adj[v] if w < v}
+                colouring.append(min({1, 2, 3} - taken, default=1))
+            for v in range(n):
+                if rng.random() < 0.1:
+                    colouring[v] = rng.choice((0, 4, -1, 2.5, 3.0, True, 1))
+            want = helpers.loop_verify_colouring(g, colouring)
+            assert verify_colouring(g, colouring) == want
+            assert verify_colouring(g, tuple(colouring)) == want
+            seen[None if want is None else want[0]] += 1
+        assert min(seen[None], seen["range"], seen["edge"]) >= 300
 
 
 class TestSolveExamples:
@@ -463,7 +489,7 @@ class TestTwinScreens:
                 continue
             sub, kverts, probes = found
             kernel, back = induced_subgraph(
-                sub, sorted(twin_representatives(sub, range(sub.n), probes)[1]))
+                sub, sorted(helpers.twin_representatives(sub, range(sub.n), probes)[1]))
             kk = tuple(i for i, v in enumerate(back) if v in kverts)
             k4 = find_k4(kernel, within=kk) is not None
             assert k4 == (helpers.whole_k4(sub) is not None)
@@ -502,7 +528,7 @@ class TestTwinKernel:
         for g, nonprobes in TestTwinScreens.draws():
             probes = frozenset(range(g.n)) - frozenset(nonprobes)
             inst = validate_probe_instance(g, probes, frozenset(nonprobes))
-            index, reps = twin_representatives(g, range(g.n), probes)
+            index, reps = helpers.twin_representatives(g, range(g.n), probes)
             rep = [reps[c] for c in index]
             sub, back = induced_subgraph(g, sorted(reps))
             sub_probes = frozenset(i for i, v in enumerate(back) if v in probes)
@@ -542,7 +568,7 @@ class TestTwinKernel:
                             (2, 5), (3, 4), (3, 5)])
         inst = _probe_side(g, {0})
         assert oracle_is_probe_hfree(g, pattern_graph("p5"), {0}) is not None
-        index, reps = twin_representatives(g, range(g.n), inst.probes)
+        index, reps = helpers.twin_representatives(g, range(g.n), inst.probes)
         assert index == [0, 1, 2, 3, 4, 0] and reps == [5, 1, 2, 3, 4]
         v = solve_3col(inst)
         assert_colourable(inst, v)
@@ -889,9 +915,10 @@ class TestNoWorkingCopies:
     """One 2-colouring pass over the probe side writes the solve's colouring
     list: every component whose probe side is bipartite keeps what the pass
     wrote, with no twin grouping and no copy.  Only a component with an odd
-    probe component is found, by a search from that odd part, grouped and
-    visited.  Its twin kernel is copied on its way to the reference cycle,
-    unless the kernel is the whole input."""
+    probe component is found, by one search from that odd part that groups
+    it into classes of false twins, and visited.  Its twin kernel is copied
+    on its way to the reference cycle, unless the kernel is the whole
+    input."""
 
     @staticmethod
     def count_copies(monkeypatch, inst):
@@ -899,8 +926,8 @@ class TestNoWorkingCopies:
 
         calls = {"induced_subgraph": 0, "_case2_attempt": 0,
                  "pick_reference_cycle": 0, "make_case_decomposition": 0,
-                 "two_colour_components": 0, "component_of": 0,
-                 "twin_representatives": 0}
+                 "two_colour_components": 0, "twin_classes": 0,
+                 "_twin_kernel": 0}
         seen = collections.defaultdict(list)  # name -> (args, result) per call
 
         def counted(name):
@@ -925,14 +952,22 @@ class TestNoWorkingCopies:
         (args, (written, odd)), *rest = seen["two_colour_components"]
         assert args == (inst.graph, inst.probes)
         assert len(rest) == calls["make_case_decomposition"]
-        # one search and one twin grouping per component with an odd part,
-        # none elsewhere
-        grouped = [args[1] for args, _ in seen["twin_representatives"]]
-        assert grouped == sorted({component_of(inst.graph, p[0]) for p in odd})
-        assert len(v.stats.component_two_sat_calls) == calls["component_of"]
-        assert calls["twin_representatives"] == calls["component_of"]
+        # one class search and one kernel per component with an odd part,
+        # none elsewhere; each search starts at an odd part and groups its
+        # whole component by neighbour set
+        searched = []
+        for (_, start), classes in seen["twin_classes"]:
+            assert any(p[0] == start for p in odd)
+            members = sorted(u for group in classes.values() for u in group)
+            assert all(inst.graph.adj[u] == adj
+                       for adj, group in classes.items() for u in group)
+            searched.append(tuple(members))
+        assert sorted(searched) == sorted(
+            {component_of(inst.graph, p[0]) for p in odd})
+        assert len(v.stats.component_two_sat_calls) == calls["twin_classes"]
+        assert calls["_twin_kernel"] == calls["twin_classes"]
         # every vertex outside them keeps the colour the pass wrote
-        visited = set().union(*grouped)
+        visited = set().union(*searched)
         assert all(v.colouring[u] == written[u]
                    for u in range(inst.graph.n) if u not in visited)
         return calls, len(connected_components(inst.graph))
@@ -953,7 +988,7 @@ class TestNoWorkingCopies:
     def test_one_copy_per_component_with_an_odd_probe_side(self, monkeypatch):
         calls, comps = self.count_copies(monkeypatch, _mixed_components_instance())
         assert comps == 5
-        assert calls["component_of"] == 3
+        assert calls["twin_classes"] == 3
         assert calls["pick_reference_cycle"] == 3
         assert calls["induced_subgraph"] == calls["pick_reference_cycle"]
 
@@ -974,7 +1009,7 @@ class TestNoWorkingCopies:
         inst = _probe_side(h, {perm[v] for v in nonprobes})
         calls, comps = self.count_copies(monkeypatch, inst)
         assert comps == 42
-        assert calls["component_of"] == 0
+        assert calls["twin_classes"] == 0
         assert calls["induced_subgraph"] == 0
         assert calls["pick_reference_cycle"] == 0
         assert solve_3col(inst).stats.component_two_sat_calls == []

@@ -54,3 +54,13 @@ def test_statuses_match_the_pin():
     _, counts = verdict_signature.signature(PINNED_DRAWS, claims=claims)
     assert dict(counts) == STATUSES
     assert dict(claims) == CLAIMS
+
+
+def test_expect_exits_1_and_prints_both_digests_when_they_differ(capsys):
+    digest = verdict_signature.signature(20)[0]
+    assert verdict_signature.main(["--draws", "20", "--expect", digest]) == 0
+    assert "differs" not in capsys.readouterr().out
+    wrong = "0" * 64
+    assert verdict_signature.main(["--draws", "20", "--expect", wrong]) == 1
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert wrong in last and digest in last

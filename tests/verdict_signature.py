@@ -7,7 +7,11 @@ Two checkouts that print the same digest for the same ``--draws`` and
     PYTHONPATH=src python3 tests/verdict_signature.py --draws 20000
 
 After the digest come the verdict counts per (solver, status) and the
-refusal counts per (solver, claim).
+refusal counts per (solver, claim).  With ``--expect HEX`` the script also
+compares the digest with HEX, and when they differ it prints both and exits
+with status 1:
+
+    PYTHONPATH=src python3 tests/verdict_signature.py --draws 20000 --expect <hex>
 
 Each draw is a random graph (n 5-12, edge density 0.15-0.55) with a random
 independent nonprobe set.  It goes through ``solve_3col``; every fourth draw
@@ -21,6 +25,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import random
+import sys
 from collections import Counter
 
 from probe_chroma.graphs import build_graph, validate_probe_instance
@@ -72,6 +77,8 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--draws", type=int, default=2000)
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--expect", metavar="HEX",
+                    help="exit 1 unless the digest is HEX")
     args = ap.parse_args(argv)
     claims = Counter()
     hexdigest, counts = signature(args.draws, args.seed, claims)
@@ -81,7 +88,11 @@ def main(argv=None):
     print("refusals by claim:")
     for (name, claim), k in sorted(claims.items()):
         print(f"{name:17s} {claim:29s} {k}")
+    if args.expect is not None and args.expect != hexdigest:
+        print(f"digest differs: expected {args.expect}, got {hexdigest}")
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
