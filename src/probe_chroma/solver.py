@@ -53,7 +53,7 @@ class SolveStats:
     time_ms: float = 0.0
     component_two_sat_calls: list = field(default_factory=list)
     two_sat_budget: int | None = None  # per-component hard cap, when set
-    component_vertices: range | tuple = ()  # current component; witnesses when the cap is hit
+    component_vertices: range | tuple = ()  # current kernel; witnesses when the cap is hit
 
     def start_component(self, vertices):
         self.component_two_sat_calls.append(0)
@@ -201,7 +201,9 @@ def solve_3col(inst: ProbeInstance, *, oracle_fallback: bool = False) -> Verdict
     ``not_probe_p5_free`` verdict whose diagnostic names the claim and
     witnessing vertices of ``inst``.  Among the claims:
     ``two-sat-budget-exceeded`` when one component needs more than
-    ``COMPONENT_TWO_SAT_BUDGET`` 2-SAT rounds.
+    ``COMPONENT_TWO_SAT_BUDGET`` 2-SAT rounds, and
+    ``two-odd-probe-components`` when a component holds two odd probe
+    components or more and no K4; with a K4 it has no 3-colouring.
 
     The only exception that escapes is :class:`CapabilityError`, from the
     brute-force cap of ``oracle_k_colourable`` when ``oracle_fallback``
@@ -317,20 +319,39 @@ def _try_extend(g, partial, equalities, stats, skip=frozenset()):
 # ------------------------------------------------------------- probe component
 
 def _probe_component_core(g, kernel, probes, odd, stats):
-    """One component's twin ``kernel`` with its odd probe parts ``odd``."""
-    if len(odd) >= 2:
+    """One component's twin ``kernel`` with its odd probe parts ``odd``.
+
+    A K4 answers that it has no 3-colouring.  Without one, two odd parts or
+    more are refused, with one shortest odd cycle of each as witnesses;
+    one odd part K goes on to the reference cycle.
+    """
+    sub, sub_probes = component_copy(g, kernel, probes)
+    parts = []  # each odd part's vertices in the kernel copy
+    for part in odd:
+        pset = frozenset(part)
+        parts.append(tuple([j for j, v in enumerate(kernel) if v in pset]))
+    # nonprobes are independent, so a K4 has three probes or more; they form
+    # a triangle, so they lie in an odd part
+    if find_k4(sub, within=[j for p in parts for j in p]) is not None:
         return None
-    kset = frozenset(odd[0])
-    kverts = tuple([j for j, v in enumerate(kernel) if v in kset])
-    return _kernel_core(*component_copy(g, kernel, probes), kverts, stats)
+    if len(parts) >= 2:
+        # a shortest odd cycle holds no two false twins, so the kernel's
+        # is one of the part's
+        witnesses = []
+        for p in parts:
+            gp, pmap = induced_subgraph(sub, p)
+            witnesses += [pmap[v] for v in shortest_odd_cycle(gp)]
+        raise PromiseViolation(
+            "two-odd-probe-components", witnesses,
+            f"{len(parts)} non-bipartite probe components lie in one "
+            "component that holds no K4",
+        )
+    return _kernel_core(sub, sub_probes, parts[0], stats)
 
 
 def _kernel_core(g, probes, kverts, stats):
-    """The core on a twin-free component g with odd probe component K."""
-    # nonprobes are independent, so a K4 has three probes or more; they form
-    # a triangle, so they lie in K
-    if find_k4(g, within=kverts) is not None:
-        return None
+    """The core on a twin-free, K4-free component g with odd probe
+    component K."""
     cycle = pick_reference_cycle(g, kverts)
     # rows omit their own bit, so the cycle's rows meet in the vertices complete to it
     rows = g.bitrows()

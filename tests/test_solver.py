@@ -135,13 +135,38 @@ class TestSolveExamples:
         assert v.status == COLOURABLE
         assert verify_colouring(cycle_graph(7), v.colouring) is None
 
+    TWO_ODD = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 6), (3, 6)]
+
     def test_two_nonbipartite_probe_components(self):
-        # each triangle needs all three colours on probes alone; one shared
-        # nonprobe neighbour cannot help, the algorithm answers no
-        edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 6), (3, 6)]
-        g = build_graph(7, edges)
+        # two probe triangles through nonprobe 6, which sees one vertex of
+        # each: 3-colourable, and 1-0-6-3-4 is an induced P5 whose only
+        # nonprobe no fill edge touches.  With no K4 the solver refuses,
+        # naming one shortest odd cycle of each odd part
+        g = build_graph(7, self.TWO_ODD)
         inst = validate_probe_instance(g, frozenset(range(6)), frozenset({6}))
-        assert solve_3col(inst).status == NOT_COLOURABLE
+        assert oracle_k_colourable(g, 3) is not None
+        assert oracle_is_probe_hfree(g, pattern_graph("p5"), {6}) is None
+        v = solve_3col(inst)
+        assert v.status == NOT_PROBE_P5_FREE
+        assert v.diagnostic["claim"] == "two-odd-probe-components"
+        assert v.diagnostic["witnesses"] == [0, 1, 2, 3, 4, 5]
+        assert_colourable(inst, solve_3col(inst, oracle_fallback=True))
+
+    def test_two_odd_witnesses_are_input_ids_through_the_kernel(self):
+        # probe 7 doubles 1 and nonprobe 8 doubles 6, then ids are shuffled
+        edges = self.TWO_ODD + [(0, 7), (2, 7), (0, 8), (3, 8)]
+        perm = helpers.shuffled_permutation(9, random.Random(4))
+        g = build_graph(9, [(perm[u], perm[v]) for u, v in edges])
+        v = solve_3col(_probe_side(g, {perm[6], perm[8]}))
+        assert v.diagnostic["claim"] == "two-odd-probe-components"
+        # parts by least member; 1 and 7 are represented by the lesser, and
+        # a triangle's canonical order is ascending
+        parts = [[perm[u] for u in (0, 1, 2, 7)], [perm[u] for u in (3, 4, 5)]]
+        cycles = [sorted({perm[0], perm[2], min(perm[1], perm[7])}),
+                  sorted(parts[1])]
+        if min(parts[1]) < min(parts[0]):
+            cycles.reverse()
+        assert v.diagnostic["witnesses"] == cycles[0] + cycles[1]
 
     def test_bipartite_probe_side_colours_directly(self):
         g = cycle_graph(8)
@@ -1105,8 +1130,9 @@ class TestProperAssignments:
 
 
 class TestK4TestPlacement:
-    """The K4 test runs only on a component with one odd probe component:
-    nonprobes are independent, so a K4 holds a probe triangle."""
+    """The K4 test runs once on each component with an odd probe component,
+    over its odd parts: nonprobes are independent, so a K4 holds a probe
+    triangle."""
 
     @staticmethod
     def count_k4_calls(monkeypatch, inst):
@@ -1157,7 +1183,7 @@ class TestK4TestPlacement:
             build_graph(8, edges), frozenset(range(7)), frozenset({7}))
         v, calls = self.count_k4_calls(monkeypatch, inst)
         assert v.status == NOT_COLOURABLE
-        assert calls == 0
+        assert calls == 1
 
 
 class TestComponentOrder:

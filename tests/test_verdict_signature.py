@@ -15,12 +15,12 @@ from collections import Counter
 
 import verdict_signature
 
-PINNED = "e9ab44b4c0c624744f02d2b62c3b5c2dac856294338c5c7475c0908a6871523a"
+PINNED = "3467ca55b250d0ad44dfc0cbdc53299d5aa081f3a75b441bb66c2be239b92573"
 PINNED_DRAWS = 3000
 STATUSES = {
     ("solve_3col", "colourable"): 2170,
-    ("solve_3col", "not_colourable"): 790,
-    ("solve_3col", "not_probe_p5_free"): 40,
+    ("solve_3col", "not_colourable"): 788,
+    ("solve_3col", "not_probe_p5_free"): 42,
     ("solve_3col_p3sp1", "colourable"): 454,
     ("solve_3col_p3sp1", "not_colourable"): 218,
     ("solve_3col_p3sp1", "not_probe_p5_free"): 78,
@@ -30,6 +30,7 @@ CLAIMS = {
     ("solve_3col", "j-not-component-closed"): 5,
     ("solve_3col", "long-induced-odd-cycle"): 1,
     ("solve_3col", "open-list-too-long"): 33,
+    ("solve_3col", "two-odd-probe-components"): 2,
     ("solve_3col_p3sp1", "induced-pattern-among-probes"): 78,
 }
 
