@@ -513,8 +513,8 @@ class TestTwinScreens:
             if found is None:
                 continue
             sub, kverts, probes = found
-            kernel, back = induced_subgraph(
-                sub, sorted(helpers.twin_representatives(sub, range(sub.n), probes)[1]))
+            reps = helpers.twin_representatives(sub, range(sub.n), probes)[1]
+            kernel, back = induced_subgraph(sub, sorted(reps))
             kk = tuple(i for i, v in enumerate(back) if v in kverts)
             k4 = find_k4(kernel, within=kk) is not None
             assert k4 == (helpers.whole_k4(sub) is not None)
