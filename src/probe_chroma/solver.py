@@ -23,9 +23,11 @@ from .graphs import (
     PartialColouring,
     ProbeInstance,
     _canonical_cycle,
+    find_induced_subgraph,
     find_k4,
     induced_subgraph,
     iter_bits,
+    pattern_graph,
     shortest_odd_cycle,
     twin_classes,
     two_colour_components,
@@ -42,6 +44,8 @@ NOT_PROBE_P5_FREE = "not_probe_p5_free"
 # proper colourings and each takes one round; a triangle has 6, each dominating
 # pair up to 9 and each forks into at most 3 attempts at the M_u witness
 COMPONENT_TWO_SAT_BUDGET = 162
+
+_P5 = pattern_graph("p5")
 
 
 @dataclass
@@ -203,7 +207,9 @@ def solve_3col(inst: ProbeInstance, *, oracle_fallback: bool = False) -> Verdict
     ``two-sat-budget-exceeded`` when one component needs more than
     ``COMPONENT_TWO_SAT_BUDGET`` 2-SAT rounds, and
     ``two-odd-probe-components`` when a component holds two odd probe
-    components or more and no K4; with a K4 it has no 3-colouring.
+    components or more, no K4, and an induced P5 that no fill edge can
+    break.  Such a component with a K4 has no 3-colouring; with neither,
+    it has none under the promise.
 
     The only exception that escapes is :class:`CapabilityError`, from the
     brute-force cap of ``oracle_k_colourable`` when ``oracle_fallback``
@@ -321,9 +327,11 @@ def _try_extend(g, partial, equalities, stats, skip=frozenset()):
 def _probe_component_core(g, kernel, probes, odd, stats):
     """One component's twin ``kernel`` with its odd probe parts ``odd``.
 
-    A K4 answers that it has no 3-colouring.  Without one, two odd parts or
-    more are refused, with one shortest odd cycle of each as witnesses;
-    one odd part K goes on to the reference cycle.
+    A K4 answers that it has no 3-colouring.  Two odd parts or more answer
+    the same under the promise, the one exit whose answer rests on it; the
+    component is refused instead when it shows an induced P5 that no fill
+    edge can break, which proves the promise broken.  One odd part K goes on
+    to the reference cycle.
     """
     sub, sub_probes = component_copy(g, kernel, probes)
     parts = []  # each odd part's vertices in the kernel copy
@@ -335,18 +343,31 @@ def _probe_component_core(g, kernel, probes, odd, stats):
     if find_k4(sub, within=[j for p in parts for j in p]) is not None:
         return None
     if len(parts) >= 2:
-        # a shortest odd cycle holds no two false twins, so the kernel's
-        # is one of the part's
-        witnesses = []
-        for p in parts:
-            gp, pmap = induced_subgraph(sub, p)
-            witnesses += [pmap[v] for v in shortest_odd_cycle(gp)]
-        raise PromiseViolation(
-            "two-odd-probe-components", witnesses,
-            f"{len(parts)} non-bipartite probe components lie in one "
-            "component that holds no K4",
-        )
+        path = _fixed_p5(sub, sub_probes)
+        if path is not None:
+            raise PromiseViolation(
+                "two-odd-probe-components", path,
+                f"{len(parts)} non-bipartite probe components lie in one "
+                "component with an induced P5 of at most one nonprobe, "
+                "which no fill edge can break",
+            )
+        return None
     return _kernel_core(sub, sub_probes, parts[0], stats)
+
+
+def _fixed_p5(g, probes):
+    """An induced P5 of g with at most one nonprobe, in path order, or None.
+
+    Fill edges join two nonprobes, so none is a chord of it: g breaks the
+    promise.  An induced P5 holds no two false twins, so a twin kernel has
+    one whenever its component has, with no more nonprobes.
+    """
+    for x in [None, *sorted(frozenset(range(g.n)) - probes)]:
+        hit = find_induced_subgraph(
+            g, _P5, within=probes if x is None else probes | {x})
+        if hit is not None:
+            return hit.image
+    return None
 
 
 def _kernel_core(g, probes, kverts, stats):

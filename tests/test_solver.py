@@ -141,7 +141,7 @@ class TestSolveExamples:
         # two probe triangles through nonprobe 6, which sees one vertex of
         # each: 3-colourable, and 1-0-6-3-4 is an induced P5 whose only
         # nonprobe no fill edge touches.  With no K4 the solver refuses,
-        # naming one shortest odd cycle of each odd part
+        # naming that P5 in path order
         g = build_graph(7, self.TWO_ODD)
         inst = validate_probe_instance(g, frozenset(range(6)), frozenset({6}))
         assert oracle_k_colourable(g, 3) is not None
@@ -149,7 +149,7 @@ class TestSolveExamples:
         v = solve_3col(inst)
         assert v.status == NOT_PROBE_P5_FREE
         assert v.diagnostic["claim"] == "two-odd-probe-components"
-        assert v.diagnostic["witnesses"] == [0, 1, 2, 3, 4, 5]
+        assert v.diagnostic["witnesses"] == [1, 0, 6, 3, 4]
         assert_colourable(inst, solve_3col(inst, oracle_fallback=True))
 
     def test_two_odd_witnesses_are_input_ids_through_the_kernel(self):
@@ -157,16 +157,31 @@ class TestSolveExamples:
         edges = self.TWO_ODD + [(0, 7), (2, 7), (0, 8), (3, 8)]
         perm = helpers.shuffled_permutation(9, random.Random(4))
         g = build_graph(9, [(perm[u], perm[v]) for u, v in edges])
-        v = solve_3col(_probe_side(g, {perm[6], perm[8]}))
+        inst = _probe_side(g, {perm[6], perm[8]})
+        v = solve_3col(inst)
         assert v.diagnostic["claim"] == "two-odd-probe-components"
-        # parts by least member; 1 and 7 are represented by the lesser, and
-        # a triangle's canonical order is ascending
-        parts = [[perm[u] for u in (0, 1, 2, 7)], [perm[u] for u in (3, 4, 5)]]
-        cycles = [sorted({perm[0], perm[2], min(perm[1], perm[7])}),
-                  sorted(parts[1])]
-        if min(parts[1]) < min(parts[0]):
-            cycles.reverse()
-        assert v.diagnostic["witnesses"] == cycles[0] + cycles[1]
+        path = v.diagnostic["witnesses"]
+        assert set(path).isdisjoint({max(perm[1], perm[7]),
+                                     max(perm[6], perm[8])})
+        assert inst.nonprobes.intersection(path) == {min(perm[6], perm[8])}
+        assert len(path) == 5
+        for i, a in enumerate(path):  # an induced path, in path order
+            for j in range(i + 1, 5):
+                assert (path[j] in g.adj[a]) == (j == i + 1)
+
+    def test_two_odd_parts_in_an_odd_wheel_keeping_the_promise(self):
+        # probe C5 0-4 and probe triangle 5-7 with nonprobe 8 complete to
+        # the C5 and adjacent to 5: an induced path holds at most two of 8's
+        # neighbours, so the graph is P5-free even with no fill edge.  The
+        # wheel on 0-4 and 8 has no 3-colouring, and there is no K4
+        edges = [(i, (i + 1) % 5) for i in range(5)] + [(i, 8) for i in range(5)]
+        edges += [(5, 6), (6, 7), (5, 7), (5, 8)]
+        g = build_graph(9, edges)
+        inst = validate_probe_instance(g, frozenset(range(8)), frozenset({8}))
+        assert find_induced_subgraph(g, pattern_graph("p5")) is None
+        assert find_k4(g) is None
+        assert oracle_k_colourable(g, 3) is None
+        assert solve_3col(inst).status == NOT_COLOURABLE
 
     def test_bipartite_probe_side_colours_directly(self):
         g = cycle_graph(8)

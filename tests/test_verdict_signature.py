@@ -15,7 +15,7 @@ from collections import Counter
 
 import verdict_signature
 
-PINNED = "3467ca55b250d0ad44dfc0cbdc53299d5aa081f3a75b441bb66c2be239b92573"
+PINNED = "7b0d01ce4a18cc4a4367b89d6fe0e1786791eb5c69a85c14172cee5e18e756c9"
 PINNED_DRAWS = 3000
 STATUSES = {
     ("solve_3col", "colourable"): 2170,
