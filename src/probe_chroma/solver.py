@@ -91,18 +91,12 @@ class Verdict:
     stats: SolveStats
 
 
-_COLOURS = frozenset((1, 2, 3))
-
-
 def verify_colouring(g: Graph, colouring):
     """None when proper with colours in 1..3; otherwise the violation:
     ("range", vertex) or ("edge", (u, v))."""
-    # one C-level set test; the loop runs only to name the bad vertex, and
-    # decides values such as 2.5 that lie in 1..3 but not in the set
-    if not _COLOURS.issuperset(colouring):
-        for v, c in enumerate(colouring):
-            if not 1 <= c <= 3:
-                return ("range", v)
+    for v, c in enumerate(colouring):
+        if not 1 <= c <= 3:
+            return ("range", v)
     for u, v in g.edges:
         if colouring[u] == colouring[v]:
             return ("edge", (u, v))

@@ -295,18 +295,6 @@ def whole_k_reference_cycle(g: Graph, kverts) -> tuple:
     )
 
 
-def loop_verify_colouring(g: Graph, colouring):
-    """Reference for ``solver.verify_colouring``: the range test as a loop
-    over every colour, then the edge scan."""
-    for v, c in enumerate(colouring):
-        if not 1 <= c <= 3:
-            return ("range", v)
-    for u, v in g.edges:
-        if colouring[u] == colouring[v]:
-            return ("edge", (u, v))
-    return None
-
-
 def twin_representatives(g: Graph, vertices, probes) -> tuple:
     """Reference for the solver's twin kernel: group the ascending
     ``vertices`` into classes of false twins (equal neighbour sets in g),
