@@ -12,7 +12,10 @@ The full formula, with variables for every listed vertex, gives the same
 colouring: Tarjan visits roots in index order, and an untied vertex's
 clause gadget is a separate piece of the implication graph whose first
 literal finishes first, so that literal is read as true.  Leaving the
-gadget out does not change the order of the other components.
+gadget out does not change the order of the other components.  By the
+same argument a round in which no vertex is tied needs no formula at
+all: every listed vertex takes its least colour, which is what the full
+formula gives, and only an empty list makes the round fail.
 """
 
 from __future__ import annotations
@@ -67,25 +70,18 @@ def compute_lists(g: Graph, partial: PartialColouring, skip=frozenset()) -> dict
     return lists
 
 
-def build_list_formula(g: Graph, partial: PartialColouring, equalities=(),
-                       skip=frozenset()) -> ListFormula:
-    """The 2-SAT formula of the open lists, over the tied vertices only.
+def build_list_formula(g: Graph, partial: PartialColouring, lists: dict,
+                       equalities=()) -> ListFormula:
+    """The 2-SAT formula of the open ``lists``, over the tied vertices only.
 
-    A listed vertex is tied when it shares a list colour with a listed
-    neighbour or sits in one of the ``equalities``; only tied vertices get
-    variables and clauses, and ``lists`` still holds every listed vertex.
-    Edge clauses follow the edges in lexicographic ``(u, v)`` order.  An
-    empty list anywhere makes the formula ``unsat``.
+    ``lists`` is what :func:`compute_lists` gives for ``partial``.  A listed
+    vertex is tied when it shares a list colour with a listed neighbour or
+    sits in one of the ``equalities``; only tied vertices get variables and
+    clauses, and ``lists`` still holds every listed vertex.  Edge clauses
+    follow the edges in lexicographic ``(u, v)`` order.  An empty list
+    anywhere makes the formula ``unsat``.
     """
-    lists = compute_lists(g, partial, skip)
-    shared = []  # (u, v, common colours) of listed edges u < v
-    for u, row in lists.items():
-        for v in g.adj[u]:
-            if v > u and v in lists:
-                common = [c for c in row if c in lists[v]]
-                if common:
-                    shared.append((u, v, common))
-    shared.sort()
+    shared = sorted(_shared_colours(g, lists))
     tied = {v for u, w, _ in shared for v in (u, w)}
     tied.update(v for eq in equalities for v in eq.vertices if v in lists)
     var_of = {}
@@ -123,6 +119,19 @@ def build_list_formula(g: Graph, partial: PartialColouring, equalities=(),
                 la, lb = lit(a, c), lit(b, c)
                 unsat |= _couple(clauses, la, lb)
     return ListFormula(len(var_of), tuple(clauses), var_of, lists, unsat)
+
+
+def _shared_colours(g: Graph, lists: dict) -> list:
+    """``(u, v, common colours)`` of each listed edge u < v whose ends share
+    a list colour, unordered."""
+    shared = []
+    for u, row in lists.items():
+        for v in g.adj[u]:
+            if v > u and v in lists:
+                common = [c for c in row if c in lists[v]]
+                if common:
+                    shared.append((u, v, common))
+    return shared
 
 
 def _couple(clauses, la, lb) -> bool:
@@ -220,12 +229,20 @@ def extend_by_2list(g: Graph, partial: PartialColouring, equalities=(),
     """Complete ``partial`` on all of ``g`` but ``skip`` (left uncoloured),
     or report impossibility with None.
 
-    A tied vertex takes the first colour of its list whose variable is
-    true, so a tie between two true variables resolves to the smaller
-    colour; an untied vertex takes its least list colour, as the full
-    formula would give it (see the module docstring).
+    Without ``equalities`` and with no listed edge whose ends share a list
+    colour, no vertex is tied and no formula is built: every listed vertex
+    takes its least list colour.  Otherwise a tied vertex takes the first
+    colour of its list whose variable is true, so a tie between two true
+    variables resolves to the smaller colour, and an untied vertex takes its
+    least list colour, as the full formula would give it (see the module
+    docstring).
     """
-    formula = build_list_formula(g, partial, equalities, skip)
+    lists = compute_lists(g, partial, skip)
+    if not equalities and not _shared_colours(g, lists):
+        if not all(lists.values()):
+            return None
+        return partial.with_colours({v: row[0] for v, row in lists.items()})
+    formula = build_list_formula(g, partial, lists, equalities)
     if formula.unsat:
         return None
     assignment = solve_two_sat(formula.num_vars, formula.clauses)
@@ -233,7 +250,7 @@ def extend_by_2list(g: Graph, partial: PartialColouring, equalities=(),
         return None
     var_of = formula.var_of
     updates = {}
-    for v, row in formula.lists.items():
+    for v, row in lists.items():
         if (v, row[0]) in var_of:
             updates[v] = next(c for c in row if assignment[var_of[(v, c)]])
         else:

@@ -15,7 +15,7 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import and_, or_
+from operator import and_, itemgetter, or_
 
 from .errors import ListSizeError, PromiseViolation
 from .graphs import (
@@ -23,6 +23,7 @@ from .graphs import (
     PartialColouring,
     ProbeInstance,
     _canonical_cycle,
+    cycle_graph,
     find_induced_subgraph,
     find_k4,
     induced_subgraph,
@@ -214,7 +215,8 @@ def solve_3col(inst: ProbeInstance, *, oracle_fallback: bool = False) -> Verdict
     g, probes = inst.graph, inst.probes
 
     def colour():
-        colours, _, odd_parts = two_colour_components(g, probes)
+        # the bipartite parts are not read: keep no reference to their list
+        colours, odd_parts = itemgetter(0, 2)(two_colour_components(g, probes))
         comps, odd = [], {}  # neighbour set -> the odd parts of its component
         for part in odd_parts:
             # a vertex of an odd part has neighbours, and equal nonempty
@@ -303,6 +305,14 @@ def _colour_in_order(g, free, blocked, assign):
             del assign[v]
 
 
+# proper colourings of C3 and C5 on a blank base, by position along the
+# cycle, in the order _proper_assignments yields them
+_CYCLE_COLOURINGS = {
+    k: tuple(_colour_in_order(cycle_graph(k), range(k), [frozenset()] * k, {}))
+    for k in (3, 5)
+}
+
+
 def _try_extend(g, partial, equalities, stats, skip=frozenset()):
     """One 2-SAT round over g with ``skip`` set aside."""
     stats.add_two_sat()
@@ -374,9 +384,12 @@ def _kernel_core(g, probes, kverts, stats):
         return None
     base = PartialColouring.blank(g.n)
     outside_k = frozenset(range(g.n)).difference(kverts)
-    for assignment in _proper_assignments(g, cycle, base):
+    # the cycle is induced and listed in cycle order, so its proper
+    # colourings on the blank base are C3's or C5's by position, in the
+    # order _proper_assignments(g, cycle, base) would yield them
+    for colouring in _CYCLE_COLOURINGS[len(cycle)]:
         stats.branches += 1
-        start = base.with_colours(assignment)
+        start = base.with_colours(dict(zip(cycle, colouring.values())))
         if len(cycle) == 5:
             ext = _propagate_and_extend(g, start, stats)
             out = None if ext is None else ext.colours

@@ -22,6 +22,12 @@ from probe_chroma.listcol import (
 )
 
 
+def formula(g, partial, equalities=(), skip=frozenset()):
+    """``build_list_formula`` over the lists of ``partial``."""
+    return build_list_formula(g, partial, compute_lists(g, partial, skip),
+                              equalities)
+
+
 class TestTwoSat:
     def test_two_clause_satisfiable(self):
         out = solve_two_sat(2, [(1, 2), (-1, 2)])
@@ -61,7 +67,7 @@ class TestLists:
 
     def test_all_coloured_means_no_vars(self):
         g = path_graph(3)
-        f = build_list_formula(g, PartialColouring((1, 2, 1)))
+        f = formula(g, PartialColouring((1, 2, 1)))
         assert f.num_vars == 0 and not f.unsat
 
     def test_list_overflow_names_vertex(self):
@@ -73,7 +79,7 @@ class TestLists:
 
     def test_formula_var_count_is_total_list_size(self):
         g = cycle_graph(5)
-        f = build_list_formula(g, PartialColouring((1, 2, 1, 0, 0)))
+        f = formula(g, PartialColouring((1, 2, 1, 0, 0)))
         assert f.num_vars == sum(len(row) for row in f.lists.values())
         assert f.num_vars == 4
 
@@ -250,7 +256,16 @@ class TestTiedVertices:
                       for _ in range(rng.randint(0, 2))]
             yield g, partial, groups, skip
 
-    def test_matches_the_full_encoding(self):
+    def test_matches_the_full_encoding(self, monkeypatch):
+        from probe_chroma import listcol
+
+        built = []
+        real = listcol.build_list_formula
+
+        def counted(*args):
+            built.append(args)
+            return real(*args)
+        monkeypatch.setattr(listcol, "build_list_formula", counted)
         seen = set()
         for g, partial, groups, skip in self.draws():
             try:
@@ -261,8 +276,14 @@ class TestTiedVertices:
                 assert got.value.vertex == e.vertex
                 seen.add("too-long")
                 continue
+            built.clear()
             assert extend_by_2list(g, partial, groups, skip) == want
-            f = build_list_formula(g, partial, groups, skip)
+            f = formula(g, partial, groups, skip)
+            # a formula is built exactly when there are equalities or two
+            # listed neighbours share a list colour
+            tied = bool(groups) or f.num_vars > 0
+            assert len(built) == tied
+            seen.add("tied" if tied else "no-tie")
             untied = [v for v, row in f.lists.items()
                       if row and (v, row[0]) not in f.var_of]
             seen.add("none" if want is None else "extended")
@@ -271,13 +292,13 @@ class TestTiedVertices:
             if want is not None and f.num_vars and groups:
                 seen.add("tied-with-equality")
         assert seen == {"too-long", "none", "extended", "untied-two-list",
-                        "tied-with-equality"}
+                        "tied-with-equality", "no-tie", "tied"}
 
     def test_untied_two_list_vertex_takes_its_least_colour(self):
         # 0 sees colour 1 (list 2, 3); its listed neighbour 1 sees 2 and 3
         g = build_graph(5, [(0, 1), (0, 2), (1, 3), (1, 4)])
         partial = PartialColouring((0, 0, 1, 2, 3))
-        f = build_list_formula(g, partial)
+        f = formula(g, partial)
         assert f.lists == {0: (2, 3), 1: (1,)}
         assert f.num_vars == 0 and f.var_of == {} and f.clauses == ()
         assert extend_by_2list(g, partial).colours == (2, 1, 1, 2, 3)
@@ -285,7 +306,7 @@ class TestTiedVertices:
     def test_adjacent_same_colour_singletons_stay_unsatisfiable(self):
         g = complete_graph(4)
         partial = PartialColouring((2, 3, 0, 0))
-        f = build_list_formula(g, partial)
+        f = formula(g, partial)
         assert f.lists == {2: (1,), 3: (1,)}
         assert f.var_of == {(2, 1): 0, (3, 1): 1}
         assert extend_by_2list(g, partial) is None
@@ -293,9 +314,9 @@ class TestTiedVertices:
     def test_vertex_tied_only_by_an_equality_gets_variables(self):
         g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         partial = PartialColouring((1, 0, 1, 0, 1))
-        assert build_list_formula(g, partial).num_vars == 0
+        assert formula(g, partial).num_vars == 0
         eq = EqualityConstraint((1, 3), (2, 3))
-        f = build_list_formula(g, partial, [eq])
+        f = formula(g, partial, [eq])
         assert sorted(f.var_of) == [(1, 2), (1, 3), (3, 2), (3, 3)]
 
     @pytest.mark.parametrize("family", ["pentagon", "split-pure", "union"])
@@ -314,4 +335,5 @@ class TestTiedVertices:
         monkeypatch.setattr(listcol, "build_list_formula", counted)
         v = solve_3col(gen_probe_instance(2000, 0.4, 7, family=family))
         assert v.status == COLOURABLE
-        assert sizes and set(sizes) == {0}
+        # the solve takes 2-SAT rounds, and none of them has a variable
+        assert v.stats.two_sat_calls and sum(sizes) == 0

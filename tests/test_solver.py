@@ -43,6 +43,7 @@ from probe_chroma.solver import (
     NOT_COLOURABLE,
     NOT_PROBE_P5_FREE,
     CaseDecomposition,
+    _CYCLE_COLOURINGS,
     _proper_assignments,
     find_dominating_pair,
     finalize_extension,
@@ -350,6 +351,11 @@ class TestReferenceCycle:
             assert got == self.outcome(sub, range(sub.n), back)
             if got[0] == "long-induced-odd-cycle":
                 assert len(got[1]) >= 7
+            elif isinstance(got[0], int):  # the branches read from the table
+                assert list(_proper_assignments(
+                    g, got, PartialColouring.blank(n))) == [
+                        dict(zip(got, c.values()))
+                        for c in _CYCLE_COLOURINGS[len(got)]]
             seen[got if isinstance(got, str) else
                  got[0] if isinstance(got[0], str) else len(got)] += 1
         assert set(seen) == {3, 5, "bipartite", "long-induced-odd-cycle"}
@@ -1121,6 +1127,13 @@ class TestProperAssignments:
         assert out[0] == {2: 1, 0: 2, 1: 3}
         assert out[1] == {2: 1, 0: 3, 1: 2}
         assert len(out) == 6
+
+    @pytest.mark.parametrize("k, count", [(3, 6), (5, 30)])
+    def test_cycle_table_is_the_blank_cycle_in_order(self, k, count):
+        want = list(_proper_assignments(
+            cycle_graph(k), range(k), PartialColouring.blank(k)))
+        assert list(_CYCLE_COLOURINGS[k]) == want
+        assert len(want) == count
 
 
 class TestK4TestPlacement:
