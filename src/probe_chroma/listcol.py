@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ListSizeError
-from .graphs import Graph, PartialColouring
-from .propagation import FREE, seen_masks
+from .graphs import Graph
+from .propagation import FREE
 
 _TRUE = ("const", True)
 _FALSE = ("const", False)
@@ -51,16 +51,18 @@ class ListFormula:
     unsat: bool  # an empty list or contradictory constant arose while building
 
 
-def compute_lists(g: Graph, partial: PartialColouring, skip=frozenset()) -> dict:
-    """Open colour lists of the uncoloured vertices outside ``skip``.
+def compute_lists(g: Graph, colours, masks, skip=frozenset()) -> dict:
+    """Open colour lists of the uncoloured vertices outside ``skip``, read
+    off their seen-colour ``masks``.
 
     Vertices in ``skip`` are treated as absent and must be uncoloured.  A
     list longer than 2 raises :class:`ListSizeError`: the caller's
     structural guarantees were violated.
     """
-    masks = seen_masks(g, partial.colours, skip)
+    if any(colours[v] for v in skip):
+        raise ValueError("skipped vertices must be uncoloured")
     lists = {}
-    for v, c in enumerate(partial.colours):
+    for v, c in enumerate(colours):
         if c or v in skip:
             continue
         allowed = FREE[masks[v]]
@@ -70,16 +72,16 @@ def compute_lists(g: Graph, partial: PartialColouring, skip=frozenset()) -> dict
     return lists
 
 
-def build_list_formula(g: Graph, partial: PartialColouring, lists: dict,
+def build_list_formula(g: Graph, colours, lists: dict,
                        equalities=()) -> ListFormula:
     """The 2-SAT formula of the open ``lists``, over the tied vertices only.
 
-    ``lists`` is what :func:`compute_lists` gives for ``partial``.  A listed
-    vertex is tied when it shares a list colour with a listed neighbour or
-    sits in one of the ``equalities``; only tied vertices get variables and
-    clauses, and ``lists`` still holds every listed vertex.  Edge clauses
-    follow the edges in lexicographic ``(u, v)`` order.  An empty list
-    anywhere makes the formula ``unsat``.
+    ``lists`` is what :func:`compute_lists` gives for the colour list
+    ``colours``.  A listed vertex is tied when it shares a list colour with
+    a listed neighbour or sits in one of the ``equalities``; only tied
+    vertices get variables and clauses, and ``lists`` still holds every
+    listed vertex.  Edge clauses follow the edges in lexicographic
+    ``(u, v)`` order.  An empty list anywhere makes the formula ``unsat``.
     """
     shared = sorted(_shared_colours(g, lists))
     tied = {v for u, w, _ in shared for v in (u, w)}
@@ -94,8 +96,8 @@ def build_list_formula(g: Graph, partial: PartialColouring, lists: dict,
 
     def lit(v, c):
         # constant when v is already coloured or c is off v's list
-        if partial.colours[v]:
-            return _TRUE if partial.colours[v] == c else _FALSE
+        if colours[v]:
+            return _TRUE if colours[v] == c else _FALSE
         if (v, c) not in var_of:
             return _FALSE
         return ("var", var_of[(v, c)] + 1)
@@ -224,35 +226,39 @@ def solve_two_sat(num_vars: int, clauses):
     return out
 
 
-def extend_by_2list(g: Graph, partial: PartialColouring, equalities=(),
+def extend_by_2list(g: Graph, colours: list, masks, equalities=(),
                     skip=frozenset()):
-    """Complete ``partial`` on all of ``g`` but ``skip`` (left uncoloured),
-    or report impossibility with None.
+    """Complete the colour list ``colours`` in place on all of ``g`` but
+    ``skip`` (left uncoloured) and return it, or report impossibility with
+    None and leave it as it was.
 
-    Without ``equalities`` and with no listed edge whose ends share a list
-    colour, no vertex is tied and no formula is built: every listed vertex
-    takes its least list colour.  Otherwise a tied vertex takes the first
-    colour of its list whose variable is true, so a tie between two true
-    variables resolves to the smaller colour, and an untied vertex takes its
-    least list colour, as the full formula would give it (see the module
+    The open lists are read off the seen-colour ``masks``, which must be
+    ``seen_masks(g, colours)``; they are not updated.  Without
+    ``equalities`` and with no listed edge whose ends share a list colour,
+    no vertex is tied and no formula is built: every listed vertex takes
+    its least list colour.  Otherwise a tied vertex takes the first colour
+    of its list whose variable is true, so a tie between two true variables
+    resolves to the smaller colour, and an untied vertex takes its least
+    list colour, as the full formula would give it (see the module
     docstring).
     """
-    lists = compute_lists(g, partial, skip)
+    lists = compute_lists(g, colours, masks, skip)
     if not equalities and not _shared_colours(g, lists):
         if not all(lists.values()):
             return None
-        return partial.with_colours({v: row[0] for v, row in lists.items()})
-    formula = build_list_formula(g, partial, lists, equalities)
+        for v, row in lists.items():
+            colours[v] = row[0]
+        return colours
+    formula = build_list_formula(g, colours, lists, equalities)
     if formula.unsat:
         return None
     assignment = solve_two_sat(formula.num_vars, formula.clauses)
     if assignment is None:
         return None
     var_of = formula.var_of
-    updates = {}
     for v, row in lists.items():
         if (v, row[0]) in var_of:
-            updates[v] = next(c for c in row if assignment[var_of[(v, c)]])
+            colours[v] = next(c for c in row if assignment[var_of[(v, c)]])
         else:
-            updates[v] = row[0]
-    return partial.with_colours(updates)
+            colours[v] = row[0]
+    return colours

@@ -1,10 +1,11 @@
 """Forced-colour propagation for partial 3-colourings.
 
-A vertex that sees two colours on its neighbours has only one colour left;
-assign it and add it to its neighbours' seen-colour masks.  Whether a
-conflict arises never depends on the processing order, and without one
-neither does the fixpoint; with one, the colouring reached and the vertex
-named may.
+A branch's state is a colour list (0 for uncoloured) and the seen-colour
+mask of every vertex beside it.  A vertex that sees two colours on its
+neighbours has only one colour left; assign it and add it to its
+neighbours' masks.  Whether a conflict arises never depends on the
+processing order, and without one neither does the fixpoint; with one, the
+colouring reached and the vertex named may.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graphs import Graph, PartialColouring
+from .graphs import Graph
 
 FREE = tuple(tuple(c for c in (1, 2, 3) if not mask >> (c - 1) & 1)
              for mask in range(8))
@@ -45,16 +46,32 @@ def seen_masks(g: Graph, colours, skip=frozenset()) -> list:
     return masks
 
 
-def propagate(g: Graph, start: PartialColouring, *, skip=frozenset()):
-    """Run the forced-colour fixpoint; return the extended colouring or a
-    :class:`Conflict`, a live vertex whose mask is full.
+def paint(g: Graph, colours: list, masks: list, assignment):
+    """Give each uncoloured vertex of the ``(vertex, colour)`` pairs of
+    ``assignment`` its colour in ``colours``, and add the colour to its
+    neighbours' ``masks``; a colour outside 1..3 raises ValueError."""
+    for v, c in assignment:
+        if not 0 < c < 4:
+            raise ValueError(f"colour {c} outside 1..3")
+        colours[v] = c
+        bit = 1 << (c - 1)
+        for w in g.adj[v]:
+            masks[w] |= bit
 
-    Vertices in ``skip`` are treated as absent: they must be uncoloured in
-    ``start`` and are never queued, coloured or checked for a conflict.
-    An open vertex is queued once, when its mask first holds two colours.
+
+def propagate(g: Graph, colours: list, masks: list, skip=frozenset()):
+    """Run the forced-colour fixpoint on ``colours`` and their seen-colour
+    ``masks`` in place; return a :class:`Conflict`, a live vertex whose mask
+    is full, or None.
+
+    ``masks`` must be ``seen_masks(g, colours)``, and they stay so.
+    Vertices in ``skip`` are treated as absent: they must be uncoloured and
+    are never queued, coloured or checked for a conflict.  An open vertex is
+    queued once, when its mask first holds two colours.  After a conflict
+    the two lists hold a partial fixpoint and are dropped by the caller.
     """
-    colours = list(start.colours)
-    masks = seen_masks(g, colours, skip)
+    if any(colours[v] for v in skip):
+        raise ValueError("skipped vertices must be uncoloured")
     queue = deque(v for v in range(g.n) if not colours[v]
                   and len(FREE[masks[v]]) == 1 and v not in skip)
     while queue:
@@ -73,4 +90,4 @@ def propagate(g: Graph, start: PartialColouring, *, skip=frozenset()):
     for v in range(g.n):
         if not FREE[masks[v]] and v not in skip:
             return Conflict(v)
-    return PartialColouring(tuple(colours))
+    return None

@@ -20,7 +20,6 @@ from operator import and_, itemgetter, or_
 from .errors import ListSizeError, PromiseViolation
 from .graphs import (
     Graph,
-    PartialColouring,
     ProbeInstance,
     _canonical_cycle,
     cycle_graph,
@@ -35,7 +34,7 @@ from .graphs import (
 )
 from .listcol import EqualityConstraint, extend_by_2list
 from .oracles import oracle_k_colourable
-from .propagation import FREE, Conflict, propagate, seen_masks
+from .propagation import FREE, paint, propagate
 
 COLOURABLE = "colourable"
 NOT_COLOURABLE = "not_colourable"
@@ -272,15 +271,15 @@ def _twin_kernel(classes, probes) -> tuple:
         [(bisect_left(reps, rep), members) for rep, members in twins])
 
 
-def _proper_assignments(g, verts, base):
-    """Proper 3-colourings of ``verts`` consistent with ``base``.
+def _proper_assignments(g, verts, cols):
+    """Proper 3-colourings of ``verts`` consistent with the colour list
+    ``cols``.
 
-    Vertices coloured in ``base`` stay fixed; nothing is yielded when two of
+    Vertices coloured in ``cols`` stay fixed; nothing is yielded when two of
     them clash.  The free vertices are coloured by backtracking in the order
     of ``verts``, each trying 1, 2, 3, so the free-vertex assignment dicts
     come out lexicographically over (position in ``verts``, colour).
     """
-    cols = base.colours
     fixed = [v for v in verts if cols[v]]
     if any(cols[v] == cols[w] for v in fixed for w in fixed if w in g.adj[v]):
         return
@@ -313,11 +312,12 @@ _CYCLE_COLOURINGS = {
 }
 
 
-def _try_extend(g, partial, equalities, stats, skip=frozenset()):
-    """One 2-SAT round over g with ``skip`` set aside."""
+def _try_extend(g, colours, masks, equalities, stats, skip=frozenset()):
+    """One 2-SAT round over g with ``skip`` set aside: ``colours`` completed
+    in place, or None."""
     stats.add_two_sat()
     try:
-        return extend_by_2list(g, partial, equalities, skip)
+        return extend_by_2list(g, colours, masks, equalities, skip)
     except ListSizeError as e:
         raise PromiseViolation(
             "open-list-too-long", [e.vertex],
@@ -376,41 +376,48 @@ def _fixed_p5(g, probes):
 
 def _kernel_core(g, probes, kverts, stats):
     """The core on a twin-free, K4-free component g with odd probe
-    component K."""
+    component K.
+
+    Each branch colours the reference cycle from the table into a blank
+    colour list and its seen-colour masks (``paint``), and hands those two
+    lists, its whole state, to propagation and on, which settle them in
+    place.
+    """
     cycle = pick_reference_cycle(g, kverts)
     # rows omit their own bit, so the cycle's rows meet in the vertices complete to it
     rows = g.bitrows()
     if reduce(and_, [rows[v] for v in cycle]):
         return None
-    base = PartialColouring.blank(g.n)
-    outside_k = frozenset(range(g.n)).difference(kverts)
+    n = g.n
+    if len(cycle) == 3:
+        outside_k = frozenset(range(n)).difference(kverts)
     # the cycle is induced and listed in cycle order, so its proper
-    # colourings on the blank base are C3's or C5's by position, in the
-    # order _proper_assignments(g, cycle, base) would yield them
+    # colourings on a blank list are C3's or C5's by position, in the
+    # order _proper_assignments(g, cycle, [0] * n) would yield them
     for colouring in _CYCLE_COLOURINGS[len(cycle)]:
         stats.branches += 1
-        start = base.with_colours(dict(zip(cycle, colouring.values())))
+        colours, masks = [0] * n, [0] * n
+        paint(g, colours, masks, zip(cycle, colouring.values()))
         if len(cycle) == 5:
-            ext = _propagate_and_extend(g, start, stats)
-            out = None if ext is None else ext.colours
+            out = _propagate_and_extend(g, colours, masks, stats)
+        elif propagate(g, colours, masks, outside_k) is None:
+            # propagated through the probe component only
+            out = _run_case2(g, probes, kverts, colours, masks, stats)
         else:
-            # propagate through the probe component only
-            psi = propagate(g, start, skip=outside_k)
-            if isinstance(psi, Conflict):
-                continue
-            out = _run_case2(g, probes, kverts, psi, stats)
+            continue
         if out is not None:
             return out
     return None
 
 
-def _propagate_and_extend(g, start, stats, skip=frozenset(), equalities=()):
-    """Propagate ``start`` over g, then one 2-SAT round, both with ``skip``
-    set aside; the extension, or None when either step fails."""
-    res = propagate(g, start, skip=skip)
-    if isinstance(res, Conflict):
+def _propagate_and_extend(g, colours, masks, stats, skip=frozenset(),
+                          equalities=()):
+    """Propagate ``colours`` and their ``masks`` over g, then one 2-SAT
+    round, both in place and with ``skip`` set aside; the completed
+    ``colours``, or None when either step fails."""
+    if propagate(g, colours, masks, skip) is not None:
         return None
-    return _try_extend(g, res, equalities, stats, skip)
+    return _try_extend(g, colours, masks, equalities, stats, skip)
 
 
 def pick_reference_cycle(g: Graph, kverts) -> tuple:
@@ -505,15 +512,17 @@ class CaseDecomposition:
     removed_lr: tuple
 
 
-def make_case_decomposition(g: Graph, probes, k_vertices,
-                            psi: PartialColouring) -> CaseDecomposition:
-    """Classify every vertex by its coloured-neighbour profile under psi."""
-    masks = seen_masks(g, psi.colours)
+def make_case_decomposition(g: Graph, probes, k_vertices, colours,
+                            masks) -> CaseDecomposition:
+    """Classify every vertex by its coloured-neighbour profile under the
+    colour list ``colours`` (psi), read off its seen-colour ``masks``; the
+    probe components outside K are 2-coloured only when J is nonempty.
+    """
     K = frozenset(k_vertices)
     k_u = [set(), set(), set()]
     k_r = set()
     for v in K:
-        if psi.colours[v]:
+        if colours[v]:
             continue
         # psi is propagation's conflict-free fixpoint inside K, so an open
         # K vertex sees at most one colour
@@ -540,18 +549,21 @@ def make_case_decomposition(g: Graph, probes, k_vertices,
             m_r.add(v)
     j = frozenset(v for v in iverts if not g.adj[v] & m_c)
     j_comps = []
-    two, parts, _ = two_colour_components(g, iverts)
-    for part in parts:
-        inside = sum(1 for v in part if v in j)
-        if 0 < inside < len(part):
-            raise PromiseViolation(
-                "j-not-component-closed", sorted(part),
-                "a probe component outside K mixes vertices with and "
-                "without M_c neighbours",
-            )
-        if inside:
-            part.sort()
-            j_comps.append((tuple(part), tuple([two[v] for v in part])))
+    # with J empty, no probe component outside K can mix J and non-J
+    # vertices, so it needs no pass
+    if j:
+        two, parts, _ = two_colour_components(g, iverts)
+        for part in parts:
+            inside = sum(1 for v in part if v in j)
+            if 0 < inside < len(part):
+                raise PromiseViolation(
+                    "j-not-component-closed", sorted(part),
+                    "a probe component outside K mixes vertices with and "
+                    "without M_c neighbours",
+                )
+            if inside:
+                part.sort()
+                j_comps.append((tuple(part), tuple([two[v] for v in part])))
     removed = []
     # the component is connected, so every vertex of L_r has a neighbour
     for v in sorted(l_r):
@@ -585,9 +597,13 @@ def find_dominating_pair(g: Graph, k_vertices, targets):
     return None
 
 
-def _run_case2(g, probes, kverts, psi, stats):
-    """|C| = 3: decompose, dominate the colour-starved rest, branch."""
-    decomp = make_case_decomposition(g, probes, kverts, psi)
+def _run_case2(g, probes, kverts, colours, masks, stats):
+    """|C| = 3: decompose, dominate the colour-starved rest, branch.
+
+    ``colours`` and ``masks`` are psi, propagation's fixpoint inside K; each
+    dominating-pair or v* attempt paints its assignment on its own copy.
+    """
+    decomp = make_case_decomposition(g, probes, kverts, colours, masks)
     removed_set = frozenset(v for v, _ in decomp.removed_lr)
     targets = decomp.k_r | (decomp.l_r - removed_set)
     pair = find_dominating_pair(g, kverts, targets)
@@ -597,32 +613,37 @@ def _run_case2(g, probes, kverts, psi, stats):
             "no two K-vertices dominate the vertices without coloured "
             "neighbours",
         )
+    skip = decomp.m_r | removed_set
     mu_nonempty = [i for i in (1, 2, 3) if decomp.m_u[i - 1]]
-    for d_assign in _proper_assignments(g, pair, psi):
+    for d_assign in _proper_assignments(g, pair, colours):
         stats.branches += 1
-        seeded = psi.with_colours(d_assign)
+        seeded, seeded_masks = colours[:], masks[:]
+        paint(g, seeded, seeded_masks, d_assign.items())
         if not decomp.j_vertices or not mu_nonempty:
-            out = _case2_attempt(g, decomp, seeded, stats, drop_j=False)
+            out = _case2_attempt(g, decomp, seeded, seeded_masks, skip, stats,
+                                 drop_j=False)
         elif len(mu_nonempty) >= 2:
             vstar = min(v for i in mu_nonempty for v in decomp.m_u[i - 1])
             out = None
             for v_assign in _proper_assignments(g, (vstar,), seeded):
                 stats.branches += 1
-                out = _case2_attempt(
-                    g, decomp, seeded.with_colours(v_assign), stats, drop_j=False
-                )
+                attempt, attempt_masks = seeded[:], seeded_masks[:]
+                paint(g, attempt, attempt_masks, v_assign.items())
+                out = _case2_attempt(g, decomp, attempt, attempt_masks, skip,
+                                     stats, drop_j=False)
                 if out is not None:
                     break
         else:
-            out = _case2_attempt(g, decomp, seeded, stats, drop_j=True)
+            out = _case2_attempt(g, decomp, seeded, seeded_masks, skip, stats,
+                                 drop_j=True)
         if out is not None:
             return out
     return None
 
 
-def _case2_attempt(g, decomp, seeded, stats, *, drop_j):
-    """One propagation + 2-SAT round with the deferred vertices set aside."""
-    skip = decomp.m_r | frozenset(v for v, _ in decomp.removed_lr)
+def _case2_attempt(g, decomp, colours, masks, skip, stats, *, drop_j):
+    """One propagation + 2-SAT round on ``colours`` and ``masks``, in place,
+    with the deferred vertices ``skip`` set aside."""
     equalities = []
     if drop_j:
         skip |= decomp.j_vertices
@@ -635,21 +656,21 @@ def _case2_attempt(g, decomp, seeded, stats, *, drop_j):
             kept = tuple(x for x in nbrs if x not in skip)
             if len(kept) >= 2:
                 equalities.append(EqualityConstraint(kept, palette))
-    ext = _propagate_and_extend(g, seeded, stats, skip, tuple(equalities))
-    if ext is None:
+    if _propagate_and_extend(g, colours, masks, stats, skip,
+                             tuple(equalities)) is None:
         return None
-    return finalize_extension(g, decomp, ext)
+    return finalize_extension(g, decomp, colours)
 
 
 def finalize_extension(g: Graph, decomp: CaseDecomposition,
-                       partial: PartialColouring) -> tuple:
-    """Colour the removed vertices back in forced order.
+                       colours: list) -> list:
+    """Colour the removed vertices back into the colour list ``colours``
+    in forced order, in place, and return it.
 
     J components first (their attachments are coloured), then the removed
     L_r vertices (their K_u^i neighbours now avoid colour i), then M_r
     (all neighbours lie in the coloured I side).
     """
-    colours = list(partial.colours)
     for comp, two in decomp.j_components:
         if all(colours[v] for v in comp):
             continue
@@ -687,4 +708,4 @@ def finalize_extension(g: Graph, decomp: CaseDecomposition,
                 "a deferred nonprobe sees all three colours",
             )
         colours[v] = free[0]
-    return tuple(colours)
+    return colours

@@ -8,7 +8,6 @@ import itertools
 from .errors import PromiseViolation
 from .graphs import (
     Graph,
-    PartialColouring,
     ProbeInstance,
     connected_components,
     find_induced_subgraph,
@@ -18,7 +17,7 @@ from .graphs import (
     pattern_graph,
     two_colour_components,
 )
-from .propagation import FREE, seen_masks
+from .propagation import FREE, paint, seen_masks
 from .solver import (
     SolveStats,
     Verdict,
@@ -135,13 +134,14 @@ def _case_p3free(g, probes, nprob, s, stats):
 
 def _first_extension(g, verts, stats):
     """Branch over the proper colourings of ``verts``; the first one that
-    2-SAT completes to all of g, or None."""
-    base = PartialColouring.blank(g.n)
-    for assignment in _proper_assignments(g, verts, base):
+    2-SAT completes to all of g, as a colour list, or None."""
+    blank = [0] * g.n
+    for assignment in _proper_assignments(g, verts, blank):
         stats.branches += 1
-        ext = _try_extend(g, base.with_colours(assignment), (), stats)
-        if ext is not None:
-            return ext.colours
+        colours, masks = [0] * g.n, [0] * g.n
+        paint(g, colours, masks, assignment.items())
+        if _try_extend(g, colours, masks, (), stats) is not None:
+            return colours
     return None
 
 

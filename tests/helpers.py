@@ -1,10 +1,16 @@
-"""Brute-force reference oracles, independent of the package internals."""
+"""Brute-force reference oracles, independent of the package internals,
+and adapters that call the solver's branch-state functions on a
+PartialColouring."""
 
 from __future__ import annotations
 
 import itertools
 import random
 
+from collections import deque
+
+from probe_chroma import listcol, propagation, solver
+from probe_chroma.errors import ListSizeError
 from probe_chroma.graphs import (
     Graph,
     PartialColouring,
@@ -14,6 +20,7 @@ from probe_chroma.graphs import (
     iter_bits,
     shortest_odd_cycle,
 )
+from probe_chroma.propagation import FREE, Conflict, seen_masks
 
 
 def random_graph(n, p, rng):
@@ -40,7 +47,7 @@ def brute_extensions(g: Graph, partial, k: int):
 
 
 def brute_proper_assignments(g: Graph, verts, base):
-    """Product-and-filter reference for ``solver._proper_assignments``:
+    """Product-and-filter reference for :func:`proper_assignments`:
     every tuple in {1,2,3}^free, kept when the free vertices avoid their
     coloured neighbours and no edge inside ``verts`` is monochromatic."""
     verts = tuple(verts)
@@ -131,8 +138,6 @@ def full_list_formula(g: Graph, partial, equalities=(), skip=frozenset()):
     per-vertex clauses by id, edges in ``g.edges`` order, then the equality
     chains.  The reference for ``listcol.build_list_formula``, which gives
     variables to tied vertices only."""
-    from probe_chroma.listcol import compute_lists
-
     lists = compute_lists(g, partial, skip)
     var_of = {}
     for v in sorted(lists):
@@ -177,13 +182,11 @@ def full_list_formula(g: Graph, partial, equalities=(), skip=frozenset()):
 def full_extension(g: Graph, partial, equalities=(), skip=frozenset()):
     """``extend_by_2list`` over :func:`full_list_formula`: every listed
     vertex takes the first colour of its list whose variable is true."""
-    from probe_chroma.listcol import solve_two_sat
-
     num_vars, clauses, var_of, lists, unsat = full_list_formula(
         g, partial, equalities, skip)
     if unsat:
         return None
-    assignment = solve_two_sat(num_vars, clauses)
+    assignment = listcol.solve_two_sat(num_vars, clauses)
     if assignment is None:
         return None
     return partial.with_colours({
@@ -191,17 +194,129 @@ def full_extension(g: Graph, partial, equalities=(), skip=frozenset()):
         for v, row in lists.items()})
 
 
+# The solver's branch state is a colour list and its seen-colour masks.  The
+# helpers below call the functions that take that state on a
+# PartialColouring instead, and hand their result back in the same form.
+
+def branch_state(g: Graph, partial):
+    """The colour list of ``partial`` and its seen-colour masks."""
+    colours = list(partial.colours)
+    return colours, seen_masks(g, colours)
+
+
+def propagate(g: Graph, start, skip=frozenset()):
+    """``propagation.propagate`` from ``start``: the Conflict, or the
+    fixpoint as a PartialColouring."""
+    colours, masks = branch_state(g, start)
+    conflict = propagation.propagate(g, colours, masks, skip)
+    if conflict is not None:
+        return conflict
+    return PartialColouring(tuple(colours))
+
+
+def compute_lists(g: Graph, partial, skip=frozenset()):
+    """``listcol.compute_lists`` of ``partial``."""
+    return listcol.compute_lists(g, *branch_state(g, partial), skip)
+
+
+def formula(g: Graph, partial, equalities=(), skip=frozenset()):
+    """``listcol.build_list_formula`` over the lists of ``partial``."""
+    return listcol.build_list_formula(
+        g, partial.colours, compute_lists(g, partial, skip), equalities)
+
+
+def extend_by_2list(g: Graph, partial, equalities=(), skip=frozenset()):
+    """``listcol.extend_by_2list`` from ``partial``: the completion as a
+    PartialColouring, or None."""
+    colours, masks = branch_state(g, partial)
+    if listcol.extend_by_2list(g, colours, masks, equalities, skip) is None:
+        return None
+    return PartialColouring(tuple(colours))
+
+
+def make_case_decomposition(g: Graph, probes, k_vertices, psi):
+    """``solver.make_case_decomposition`` under the partial colouring psi."""
+    return solver.make_case_decomposition(
+        g, probes, k_vertices, *branch_state(g, psi))
+
+
+def finalize_extension(g: Graph, decomp, partial) -> tuple:
+    """``solver.finalize_extension`` of ``partial``, as a tuple."""
+    return tuple(solver.finalize_extension(g, decomp, list(partial.colours)))
+
+
+def proper_assignments(g: Graph, verts, base):
+    """``solver._proper_assignments`` consistent with ``base``."""
+    return solver._proper_assignments(g, verts, list(base.colours))
+
+
+def reference_propagate(g: Graph, start, skip=frozenset()):
+    """Reference for ``propagation.propagate`` in its earlier form, which
+    took a PartialColouring, built the seen-colour masks afresh and
+    returned a new PartialColouring or the Conflict."""
+    colours = list(start.colours)
+    masks = seen_masks(g, colours, skip)
+    queue = deque(v for v in range(g.n) if not colours[v]
+                  and len(FREE[masks[v]]) == 1 and v not in skip)
+    while queue:
+        v = queue.popleft()
+        free = FREE[masks[v]]
+        if not free:
+            continue
+        colours[v] = free[0]
+        bit = 1 << (free[0] - 1)
+        for w in g.adj[v]:
+            mask = masks[w]
+            if not mask & bit:
+                masks[w] = mask = mask | bit
+                if len(FREE[mask]) == 1 and not colours[w] and w not in skip:
+                    queue.append(w)
+    for v in range(g.n):
+        if not FREE[masks[v]] and v not in skip:
+            return Conflict(v)
+    return PartialColouring(tuple(colours))
+
+
+def reference_extend_by_2list(g: Graph, partial, equalities=(),
+                              skip=frozenset()):
+    """Reference for ``listcol.extend_by_2list`` in its earlier form, which
+    took a PartialColouring, read its lists off freshly built seen-colour
+    masks and returned a new PartialColouring or None.  The formula is
+    built and solved by ``listcol`` itself."""
+    masks = seen_masks(g, partial.colours, skip)
+    lists = {}
+    for v, c in enumerate(partial.colours):
+        if c or v in skip:
+            continue
+        if len(FREE[masks[v]]) > 2:
+            raise ListSizeError(v, len(FREE[masks[v]]))
+        lists[v] = FREE[masks[v]]
+    if not equalities and not listcol._shared_colours(g, lists):
+        if not all(lists.values()):
+            return None
+        return partial.with_colours({v: row[0] for v, row in lists.items()})
+    f = listcol.build_list_formula(g, partial.colours, lists, equalities)
+    if f.unsat:
+        return None
+    assignment = listcol.solve_two_sat(f.num_vars, f.clauses)
+    if assignment is None:
+        return None
+    updates = {}
+    for v, row in lists.items():
+        if (v, row[0]) in f.var_of:
+            updates[v] = next(c for c in row if assignment[f.var_of[(v, c)]])
+        else:
+            updates[v] = row[0]
+    return partial.with_colours(updates)
+
+
 def _seen_colours(g: Graph, colours, v):
     return {colours[w] for w in g.adj[v] if colours[w]}
 
 
 def set_propagate(g: Graph, start, skip=frozenset()):
-    """Set-based reference for ``propagation.propagate``: every open live
+    """Set-based reference for :func:`propagate`: every open live
     vertex is rescanned whenever a neighbour gets a colour."""
-    from collections import deque
-
-    from probe_chroma.propagation import Conflict
-
     colours = list(start.colours)
     if any(colours[v] for v in skip):
         raise ValueError("skipped vertices must be uncoloured")
@@ -225,7 +340,7 @@ def set_propagate(g: Graph, start, skip=frozenset()):
 
 
 def set_lists(g: Graph, partial, skip=frozenset()):
-    """Set-based reference for ``listcol.compute_lists``, without its
+    """Set-based reference for :func:`compute_lists`, without its
     list-size check: every open vertex outside ``skip`` and its list."""
     lists = {}
     for v in range(g.n):

@@ -28,7 +28,7 @@ from probe_chroma.generators import (
     gen_x3c_reduction,
 )
 from probe_chroma.oracles import oracle_is_probe_hfree, oracle_k_colourable
-from probe_chroma.propagation import Conflict, propagate
+from probe_chroma.propagation import Conflict
 from probe_chroma.solver import (
     COLOURABLE,
     COMPONENT_TWO_SAT_BUDGET,
@@ -154,7 +154,7 @@ def test_4_propagation_oracle(capsys):
                 if free:
                     colours[v] = rng.choice(sorted(free))
             start = PartialColouring(tuple(colours))
-            out = propagate(g, start)
+            out = helpers.propagate(g, start)
             if isinstance(out, Conflict):
                 assert not list(helpers.brute_extensions(g, start.colours, 3))
             else:
@@ -163,10 +163,10 @@ def test_4_propagation_oracle(capsys):
                 for ext in helpers.brute_extensions(g, start.colours, 3):
                     for v in forced:
                         assert ext[v] == out.colours[v]
-                assert propagate(g, out) == out
+                assert helpers.propagate(g, out) == out
             for _ in range(3):
                 perm = helpers.shuffled_permutation(n, perm_rng)
-                rerun = propagate(*helpers.relabel(g, start, perm))
+                rerun = helpers.propagate(*helpers.relabel(g, start, perm))
                 if isinstance(out, Conflict):
                     assert isinstance(rerun, Conflict)
                 else:

@@ -13,19 +13,7 @@ from probe_chroma.graphs import (
     cycle_graph,
     path_graph,
 )
-from probe_chroma.listcol import (
-    EqualityConstraint,
-    build_list_formula,
-    compute_lists,
-    extend_by_2list,
-    solve_two_sat,
-)
-
-
-def formula(g, partial, equalities=(), skip=frozenset()):
-    """``build_list_formula`` over the lists of ``partial``."""
-    return build_list_formula(g, partial, compute_lists(g, partial, skip),
-                              equalities)
+from probe_chroma.listcol import EqualityConstraint, solve_two_sat
 
 
 class TestTwoSat:
@@ -62,24 +50,24 @@ class TestTwoSat:
 class TestLists:
     def test_open_lists_on_cycle(self):
         g = cycle_graph(5)
-        lists = compute_lists(g, PartialColouring((1, 2, 1, 0, 0)))
+        lists = helpers.compute_lists(g, PartialColouring((1, 2, 1, 0, 0)))
         assert lists == {3: (2, 3), 4: (2, 3)}
 
     def test_all_coloured_means_no_vars(self):
         g = path_graph(3)
-        f = formula(g, PartialColouring((1, 2, 1)))
+        f = helpers.formula(g, PartialColouring((1, 2, 1)))
         assert f.num_vars == 0 and not f.unsat
 
     def test_list_overflow_names_vertex(self):
         g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
         with pytest.raises(ListSizeError) as e:
-            compute_lists(g, PartialColouring.blank(3))
+            helpers.compute_lists(g, PartialColouring.blank(3))
         assert e.value.vertex == 0
         assert e.value.list_size == 3
 
     def test_formula_var_count_is_total_list_size(self):
         g = cycle_graph(5)
-        f = formula(g, PartialColouring((1, 2, 1, 0, 0)))
+        f = helpers.formula(g, PartialColouring((1, 2, 1, 0, 0)))
         assert f.num_vars == sum(len(row) for row in f.lists.values())
         assert f.num_vars == 4
 
@@ -87,23 +75,24 @@ class TestLists:
 class TestExtend:
     def test_cycle_last_vertex_forced(self):
         g = cycle_graph(5)
-        out = extend_by_2list(g, PartialColouring((1, 2, 1, 2, 0)))
+        out = helpers.extend_by_2list(g, PartialColouring((1, 2, 1, 2, 0)))
         assert out.colours == (1, 2, 1, 2, 3)
 
     def test_adjacent_singleton_lists_clash(self):
         g = complete_graph(4)
-        out = extend_by_2list(g, PartialColouring((2, 3, 0, 0)))
+        out = helpers.extend_by_2list(g, PartialColouring((2, 3, 0, 0)))
         assert out is None
 
     def test_equal_colours_on_an_edge_impossible(self):
         # vertex 2 of colour 3 leaves the edge 0-1 the lists (1, 2)
         g = complete_graph(3)
         eq = EqualityConstraint((0, 1), (1, 2))
-        assert extend_by_2list(g, PartialColouring((0, 0, 3)), [eq]) is None
+        partial = PartialColouring((0, 0, 3))
+        assert helpers.extend_by_2list(g, partial, [eq]) is None
 
     def test_cycle_two_open_vertices(self):
         g = cycle_graph(5)
-        out = extend_by_2list(g, PartialColouring((1, 2, 1, 0, 0)))
+        out = helpers.extend_by_2list(g, PartialColouring((1, 2, 1, 0, 0)))
         assert out is not None
         assert (out.colours[3], out.colours[4]) in {(2, 3), (3, 2)}
 
@@ -112,7 +101,7 @@ class TestExtend:
         g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         partial = PartialColouring((1, 0, 1, 0, 1))
         eq = EqualityConstraint((1, 3), (2, 3))
-        out = extend_by_2list(g, partial, [eq])
+        out = helpers.extend_by_2list(g, partial, [eq])
         assert out is not None
         assert out.colours[1] == out.colours[3]
 
@@ -121,7 +110,7 @@ class TestExtend:
         g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
         partial = PartialColouring((1, 0, 0, 1))
         eq = EqualityConstraint((1, 2), (2, 3))
-        assert extend_by_2list(g, partial, [eq]) is None
+        assert helpers.extend_by_2list(g, partial, [eq]) is None
 
 
 cases = st.builds(
@@ -172,10 +161,10 @@ class TestExtendAgainstBrute:
     def test_feasibility_matches_and_output_valid(self, case):
         g, partial, groups = case
         try:
-            lists = compute_lists(g, partial)
+            lists = helpers.compute_lists(g, partial)
         except ListSizeError:
             assume(False)
-        out = extend_by_2list(g, partial, groups)
+        out = helpers.extend_by_2list(g, partial, groups)
         brute = set(_brute_list_solutions(g, partial, lists, groups))
         assert (out is not None) == bool(brute)
         if out is not None:
@@ -192,10 +181,10 @@ class TestListsAgainstSetReference:
         too_long = [v for v, row in want.items() if len(row) > 2]
         if too_long:
             with pytest.raises(ListSizeError) as e:
-                compute_lists(g, partial, skip)
+                helpers.compute_lists(g, partial, skip)
             assert e.value.vertex == too_long[0]
             return False
-        assert compute_lists(g, partial, skip) == want
+        assert helpers.compute_lists(g, partial, skip) == want
         return True
 
     @given(cases)
@@ -215,26 +204,28 @@ class TestSkip:
         for g, start, skip in helpers.skip_cases(400, 12):
             sub, sub_start, back = helpers.without(g, start, skip)
             try:
-                want = helpers.map_back(g.n, extend_by_2list(sub, sub_start), back)
+                want = helpers.map_back(
+                    g.n, helpers.extend_by_2list(sub, sub_start), back)
             except ListSizeError as e:
                 with pytest.raises(ListSizeError) as got:
-                    extend_by_2list(g, start, (), skip)
+                    helpers.extend_by_2list(g, start, (), skip)
                 assert got.value.vertex == back[e.vertex]
                 outcomes.add("too-long")
                 continue
-            assert extend_by_2list(g, start, (), skip) == want
+            assert helpers.extend_by_2list(g, start, (), skip) == want
             outcomes.add("none" if want is None else "extended")
         assert outcomes == {"too-long", "none", "extended"}
 
     def test_skipped_vertex_seeing_three_colours_stays_blank(self):
         g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
         start = PartialColouring((0, 1, 2, 3))
-        assert extend_by_2list(g, start) is None
-        assert extend_by_2list(g, start, (), {0}) == start
+        assert helpers.extend_by_2list(g, start) is None
+        assert helpers.extend_by_2list(g, start, (), {0}) == start
 
     def test_coloured_skip_vertex_rejected(self):
         with pytest.raises(ValueError):
-            compute_lists(path_graph(3), PartialColouring((0, 2, 0)), {1})
+            helpers.compute_lists(
+                path_graph(3), PartialColouring((0, 2, 0)), {1})
 
 
 class TestTiedVertices:
@@ -272,13 +263,15 @@ class TestTiedVertices:
                 want = helpers.full_extension(g, partial, groups, skip)
             except ListSizeError as e:
                 with pytest.raises(ListSizeError) as got:
-                    extend_by_2list(g, partial, groups, skip)
+                    helpers.extend_by_2list(g, partial, groups, skip)
                 assert got.value.vertex == e.vertex
                 seen.add("too-long")
                 continue
+            # the helper builds its formula through listcol too: before
+            # the count
+            f = helpers.formula(g, partial, groups, skip)
             built.clear()
-            assert extend_by_2list(g, partial, groups, skip) == want
-            f = formula(g, partial, groups, skip)
+            assert helpers.extend_by_2list(g, partial, groups, skip) == want
             # a formula is built exactly when there are equalities or two
             # listed neighbours share a list colour
             tied = bool(groups) or f.num_vars > 0
@@ -298,25 +291,25 @@ class TestTiedVertices:
         # 0 sees colour 1 (list 2, 3); its listed neighbour 1 sees 2 and 3
         g = build_graph(5, [(0, 1), (0, 2), (1, 3), (1, 4)])
         partial = PartialColouring((0, 0, 1, 2, 3))
-        f = formula(g, partial)
+        f = helpers.formula(g, partial)
         assert f.lists == {0: (2, 3), 1: (1,)}
         assert f.num_vars == 0 and f.var_of == {} and f.clauses == ()
-        assert extend_by_2list(g, partial).colours == (2, 1, 1, 2, 3)
+        assert helpers.extend_by_2list(g, partial).colours == (2, 1, 1, 2, 3)
 
     def test_adjacent_same_colour_singletons_stay_unsatisfiable(self):
         g = complete_graph(4)
         partial = PartialColouring((2, 3, 0, 0))
-        f = formula(g, partial)
+        f = helpers.formula(g, partial)
         assert f.lists == {2: (1,), 3: (1,)}
         assert f.var_of == {(2, 1): 0, (3, 1): 1}
-        assert extend_by_2list(g, partial) is None
+        assert helpers.extend_by_2list(g, partial) is None
 
     def test_vertex_tied_only_by_an_equality_gets_variables(self):
         g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         partial = PartialColouring((1, 0, 1, 0, 1))
-        assert formula(g, partial).num_vars == 0
+        assert helpers.formula(g, partial).num_vars == 0
         eq = EqualityConstraint((1, 3), (2, 3))
-        f = formula(g, partial, [eq])
+        f = helpers.formula(g, partial, [eq])
         assert sorted(f.var_of) == [(1, 2), (1, 3), (3, 2), (3, 3)]
 
     @pytest.mark.parametrize("family", ["pentagon", "split-pure", "union"])

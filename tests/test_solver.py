@@ -44,10 +44,7 @@ from probe_chroma.solver import (
     NOT_PROBE_P5_FREE,
     CaseDecomposition,
     _CYCLE_COLOURINGS,
-    _proper_assignments,
     find_dominating_pair,
-    finalize_extension,
-    make_case_decomposition,
     pick_reference_cycle,
     solve_3col,
     verify_colouring,
@@ -352,7 +349,7 @@ class TestReferenceCycle:
             if got[0] == "long-induced-odd-cycle":
                 assert len(got[1]) >= 7
             elif isinstance(got[0], int):  # the branches read from the table
-                assert list(_proper_assignments(
+                assert list(helpers.proper_assignments(
                     g, got, PartialColouring.blank(n))) == [
                         dict(zip(got, c.values()))
                         for c in _CYCLE_COLOURINGS[len(got)]]
@@ -654,7 +651,7 @@ class TestCaseDecomposition:
                             (3, 5), (3, 6)])
         probes = frozenset({0, 1, 2, 3, 6})
         psi = PartialColouring((1, 2, 3, 0, 0, 0, 0))
-        return g, make_case_decomposition(g, probes, probes, psi)
+        return g, helpers.make_case_decomposition(g, probes, probes, psi)
 
     def test_k_classes(self):
         _, d = self.fixture()
@@ -676,7 +673,7 @@ class TestCaseDecomposition:
             7, [(0, 1), (1, 2), (0, 2), (3, 4), (3, 5), (0, 5), (0, 6)]
         )
         psi = PartialColouring((1, 2, 3, 0, 0, 0, 0))
-        d = make_case_decomposition(
+        d = helpers.make_case_decomposition(
             g, frozenset(range(5)), frozenset({0, 1, 2}), psi
         )
         assert d.m_u == (frozenset({5}), frozenset(), frozenset())
@@ -691,7 +688,7 @@ class TestCaseDecomposition:
         )
         psi = PartialColouring((1, 2, 3, 0, 0, 0, 0))
         with pytest.raises(PromiseViolation) as e:
-            make_case_decomposition(
+            helpers.make_case_decomposition(
                 g, frozenset(range(6)), frozenset({0, 1, 2}), psi
             )
         assert e.value.claim == "j-not-component-closed"
@@ -703,7 +700,7 @@ class TestCaseDecomposition:
             7, [(0, 1), (1, 2), (0, 2), (0, 4), (0, 5), (4, 6), (5, 6), (3, 0)]
         )
         psi = PartialColouring((1, 2, 3, 0, 0, 0, 0))
-        d = make_case_decomposition(
+        d = helpers.make_case_decomposition(
             g, frozenset(range(6)), frozenset(range(6)), psi
         )
         assert d.k_r == frozenset()
@@ -724,20 +721,20 @@ class TestFinalize:
     def test_deferred_nonprobe_takes_remaining_colour(self):
         g = build_graph(3, [(0, 1), (0, 2)])
         d = self.dummy(m_r=frozenset({0}))
-        out = finalize_extension(g, d, PartialColouring((0, 1, 2)))
+        out = helpers.finalize_extension(g, d, PartialColouring((0, 1, 2)))
         assert out == (3, 1, 2)
 
     def test_removed_vertex_replays_recorded_colour(self):
         g = build_graph(3, [(0, 1), (0, 2)])
         d = self.dummy(l_r=frozenset({0}), removed_lr=((0, 1),))
-        out = finalize_extension(g, d, PartialColouring((0, 2, 2)))
+        out = helpers.finalize_extension(g, d, PartialColouring((0, 2, 2)))
         assert out == (1, 2, 2)
 
     def test_saturated_nonprobe_breaks_promise(self):
         g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
         d = self.dummy(m_r=frozenset({0}))
         with pytest.raises(PromiseViolation) as e:
-            finalize_extension(g, d, PartialColouring((0, 1, 2, 3)))
+            helpers.finalize_extension(g, d, PartialColouring((0, 1, 2, 3)))
         assert e.value.claim == "no-free-colour"
 
     def test_isolated_j_takes_single_class_colour(self):
@@ -746,7 +743,7 @@ class TestFinalize:
             j_vertices=frozenset({1}), j_components=(((1,), (1,)),),
             m_u=(frozenset(), frozenset({9}), frozenset()),
         )
-        out = finalize_extension(g, d, PartialColouring((1, 0)))
+        out = helpers.finalize_extension(g, d, PartialColouring((1, 0)))
         assert out == (1, 2)
 
     def test_even_j_component_gets_bipartition_palette(self):
@@ -755,7 +752,7 @@ class TestFinalize:
         g = build_graph(3, [(0, 1), (0, 2), (1, 2)])
         d = self.dummy(j_vertices=frozenset({1, 2}),
                        j_components=(((1, 2), (1, 2)),))
-        out = finalize_extension(g, d, PartialColouring((3, 0, 0)))
+        out = helpers.finalize_extension(g, d, PartialColouring((3, 0, 0)))
         assert out == (3, 1, 2)
 
 
@@ -972,11 +969,14 @@ class TestNoWorkingCopies:
         assert not hasattr(solver, "connected_components")
         v = solve_3col(inst)
         assert_colourable(inst, v)
-        # the one probe-side pass, over the whole input; beyond it only the
-        # |C| = 3 decomposition 2-colours the probe components outside K
+        # the one probe-side pass, over the whole input; beyond it only a
+        # |C| = 3 decomposition with J nonempty 2-colours the probe
+        # components outside K
         (args, (written, odd)), *rest = seen["two_colour_components"]
         assert args == (inst.graph, inst.probes)
-        assert len(rest) == calls["make_case_decomposition"]
+        assert len(rest) == sum(
+            1 for _, decomp in seen["make_case_decomposition"]
+            if decomp.j_vertices)
         # one class search and one kernel per component with an odd part,
         # none elsewhere; each search starts at an odd part and groups its
         # whole component by neighbour set
@@ -1007,6 +1007,8 @@ class TestNoWorkingCopies:
     def test_case_three_with_j_component(self, monkeypatch):
         calls, comps = self.count_copies(monkeypatch, _j_component_instance())
         assert calls["_case2_attempt"] >= 1
+        # J is nonempty: its decomposition 2-colours the probes outside K
+        assert calls["two_colour_components"] == 2
         assert comps == 1
         assert calls["induced_subgraph"] == 0
 
@@ -1038,6 +1040,44 @@ class TestNoWorkingCopies:
         assert calls["induced_subgraph"] == 0
         assert calls["pick_reference_cycle"] == 0
         assert solve_3col(inst).stats.component_two_sat_calls == []
+
+
+class TestLayerCalls:
+    """Every propagation and 2-SAT round a solve runs is a call of
+    ``propagation.propagate`` or ``listcol.extend_by_2list``, the names the
+    benchmark's per-layer spans wrap.  The counts are pinned, so a private
+    core that bypassed either name would fail here instead of zeroing the
+    per-layer metrics."""
+
+    CASES = {
+        "j-component": (lambda: _j_component_instance(), 2, 1),
+        "many-pieces": (lambda: _many_piece_instance(), 38, 26),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rounds_go_through_the_traced_names(self, case, monkeypatch):
+        from probe_chroma import listcol, propagation
+
+        build, propagations, rounds = self.CASES[case]
+        calls = collections.Counter()
+        for module, name in ((propagation, "propagate"),
+                             (listcol, "extend_by_2list")):
+            real = getattr(module, name)
+
+            def wrapper(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            # bind it wherever the solver modules imported the name
+            for mod_name, mod in list(sys.modules.items()):
+                if mod_name.partition(".")[0] == "probe_chroma":
+                    for attr, value in list(vars(mod).items()):
+                        if value is real:
+                            monkeypatch.setattr(mod, attr, wrapper)
+        inst = build()
+        v = solve_3col(inst)
+        assert_colourable(inst, v)
+        assert calls["propagate"] == propagations
+        assert calls["extend_by_2list"] == v.stats.two_sat_calls == rounds
 
 
 class TestRowsRead:
@@ -1108,7 +1148,7 @@ class TestProperAssignments:
         mixed = nonempty = 0
         for _ in range(600):
             g, base, verts = self.random_case(rng)
-            got = list(_proper_assignments(g, verts, base))
+            got = list(helpers.proper_assignments(g, verts, base))
             assert got == list(helpers.brute_proper_assignments(g, verts, base))
             fixed = sum(1 for v in verts if base.colours[v])
             mixed += 0 < fixed < len(verts)
@@ -1118,19 +1158,19 @@ class TestProperAssignments:
     def test_clashing_fixed_vertices_yield_nothing(self):
         g = path_graph(3)
         base = PartialColouring((2, 2, 0))
-        assert list(_proper_assignments(g, (0, 1, 2), base)) == []
-        assert list(_proper_assignments(g, (2, 1, 0), base)) == []
+        assert list(helpers.proper_assignments(g, (0, 1, 2), base)) == []
+        assert list(helpers.proper_assignments(g, (2, 1, 0), base)) == []
 
     def test_order_follows_the_given_vertices(self):
         base = PartialColouring.blank(3)
-        out = list(_proper_assignments(triangle, (2, 0, 1), base))
+        out = list(helpers.proper_assignments(triangle, (2, 0, 1), base))
         assert out[0] == {2: 1, 0: 2, 1: 3}
         assert out[1] == {2: 1, 0: 3, 1: 2}
         assert len(out) == 6
 
     @pytest.mark.parametrize("k, count", [(3, 6), (5, 30)])
     def test_cycle_table_is_the_blank_cycle_in_order(self, k, count):
-        want = list(_proper_assignments(
+        want = list(helpers.proper_assignments(
             cycle_graph(k), range(k), PartialColouring.blank(k)))
         assert list(_CYCLE_COLOURINGS[k]) == want
         assert len(want) == count
@@ -1266,6 +1306,28 @@ def _mixed_components_instance():
              (8, 16), (8, 19), (9, 13), (9, 20), (11, 16), (13, 21), (15, 17),
              (18, 20), (18, 21)]
     return _probe_side(build_graph(23, edges), {0, 4, 5, 6, 15})
+
+
+def _many_piece_instance():
+    """60 generator instances of 3-12 vertices from five families, each kept
+    when it is 3-colourable, in one input with interleaved ids: 26 pieces
+    reach the reference cycle, 14 at a C5 and 12 at a triangle."""
+    families = (None, "path-split", "pentagon", "split-pure", "trianglefree")
+    rng = random.Random(5)
+    pieces = []
+    for i in range(60):
+        inst = gen_probe_instance(3 + i % 10, rng.uniform(0.15, 0.7),
+                                  ("spy", i), family=families[i % 5])
+        if oracle_k_colourable(inst.graph, 3) is not None:
+            pieces.append(inst)
+    g = disjoint_union([p.graph for p in pieces])
+    nonprobes, offset = set(), 0
+    for p in pieces:
+        nonprobes.update(offset + v for v in p.nonprobes)
+        offset += p.graph.n
+    perm = helpers.shuffled_permutation(g.n, rng)
+    h = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    return _probe_side(h, {perm[v] for v in nonprobes})
 
 
 def _unfillable_instance():

@@ -13,6 +13,8 @@ CHANGES.md.  Pinned under CPython 3.11.7.
 
 from collections import Counter
 
+import pytest
+
 import verdict_signature
 
 PINNED = "7b0d01ce4a18cc4a4367b89d6fe0e1786791eb5c69a85c14172cee5e18e756c9"
@@ -65,3 +67,16 @@ def test_expect_exits_1_and_prints_both_digests_when_they_differ(capsys):
     assert verdict_signature.main(["--draws", "20", "--expect", wrong]) == 1
     last = capsys.readouterr().out.splitlines()[-1]
     assert wrong in last and digest in last
+
+
+def test_expect_rejects_an_abbreviated_digest_as_a_usage_error(capsys):
+    digest = verdict_signature.signature(1)[0]
+    for short in (f"{digest[:8]}…{digest[-4:]}", digest[:8], digest[:63],
+                  digest + "0", "g" * 64):
+        with pytest.raises(SystemExit) as e:
+            verdict_signature.main(["--draws", "1", "--expect", short])
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        assert "64 hex digits" in captured.err and not captured.out
+    assert verdict_signature.main(
+        ["--draws", "1", "--expect", digest.upper()]) == 0

@@ -13,6 +13,9 @@ with status 1:
 
     PYTHONPATH=src python3 tests/verdict_signature.py --draws 20000 --expect <hex>
 
+HEX must be the full digest, 64 hex digits; an abbreviated one such as
+``c207613e…7e3d`` is a usage error (exit status 2), raised before any draw.
+
 Each draw is a random graph (n 5-12, edge density 0.15-0.55) with a random
 independent nonprobe set.  It goes through ``solve_3col``; every fourth draw
 also goes through ``solve_3col_p3sp1`` with s = 1 or 2.  The script uses only
@@ -25,6 +28,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import random
+import re
 import sys
 from collections import Counter
 
@@ -73,12 +77,20 @@ def signature(draws, seed=0, claims=None):
     return digest.hexdigest(), counts
 
 
+def full_digest(text):
+    """``text`` in lower case when it is 64 hex digits; else a usage error."""
+    if not re.fullmatch(r"[0-9a-fA-F]{64}", text):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a full sha256 digest of 64 hex digits")
+    return text.lower()
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--draws", type=int, default=2000)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--expect", metavar="HEX",
-                    help="exit 1 unless the digest is HEX")
+    ap.add_argument("--expect", metavar="HEX", type=full_digest,
+                    help="exit 1 unless the digest is HEX, 64 hex digits")
     args = ap.parse_args(argv)
     claims = Counter()
     hexdigest, counts = signature(args.draws, args.seed, claims)
