@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 from .graphs import (
     Graph,
     InducedEmbedding,
-    PartialColouring,
     ProbeInstance,
     build_graph,
     validate_probe_instance,
@@ -19,7 +18,6 @@ from .solver import Verdict, solve_3col
 __all__ = [
     "Graph",
     "InducedEmbedding",
-    "PartialColouring",
     "ProbeInstance",
     "Verdict",
     "build_graph",

@@ -225,31 +225,6 @@ def validate_probe_instance(g: Graph, probes, nonprobes, meta=None) -> ProbeInst
 
 
 @dataclass(frozen=True)
-class PartialColouring:
-    """Partial proper 3-colouring; colour 0 stands for `uncoloured`."""
-
-    colours: tuple
-    _VALID = frozenset(range(4))
-
-    def __post_init__(self):
-        # one C-level set test; the loop runs only to name the bad colour
-        if not self._VALID.issuperset(self.colours):
-            for c in self.colours:
-                if c not in self._VALID:
-                    raise ValueError(f"colour {c} outside 0..3")
-
-    @classmethod
-    def blank(cls, n: int) -> "PartialColouring":
-        return cls((0,) * n)
-
-    def with_colours(self, assignment: dict) -> "PartialColouring":
-        col = list(self.colours)
-        for v, c in assignment.items():
-            col[v] = c
-        return PartialColouring(tuple(col))
-
-
-@dataclass(frozen=True)
 class InducedEmbedding:
     """Injective vertex map witnessing an induced copy of ``pattern`` in ``host``."""
 
@@ -270,28 +245,6 @@ class InducedEmbedding:
 
 
 # ------------------------------------------------------------------ traversals
-
-def connected_components(g: Graph) -> list:
-    """Components as sorted tuples, listed by smallest member."""
-    comps, seen = [], set()
-    for s in range(g.n):
-        if s not in seen:
-            comps.append(component_of(g, s))
-            seen.update(comps[-1])
-    return comps
-
-
-def component_of(g: Graph, s: int) -> tuple:
-    """The connected component of vertex ``s`` as a sorted tuple."""
-    comp, seen = [s], {s}
-    for v in comp:  # grows while scanned
-        new = g.adj[v] - seen
-        if new:  # most vertices add none
-            seen |= new
-            comp.extend(new)
-    comp.sort()
-    return tuple(comp)
-
 
 def twin_classes(g: Graph, s: int) -> dict:
     """The component of vertex ``s``, grouped into classes of false twins

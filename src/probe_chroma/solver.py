@@ -40,11 +40,6 @@ COLOURABLE = "colourable"
 NOT_COLOURABLE = "not_colourable"
 NOT_PROBE_P5_FREE = "not_probe_p5_free"
 
-# most 2-SAT rounds one component can take: max(30, 6 x 9 x 3).  A C5 has 30
-# proper colourings and each takes one round; a triangle has 6, each dominating
-# pair up to 9 and each forks into at most 3 attempts at the M_u witness
-COMPONENT_TWO_SAT_BUDGET = 162
-
 _P5 = pattern_graph("p5")
 
 
@@ -56,24 +51,14 @@ class SolveStats:
     two_sat_calls: int = 0
     time_ms: float = 0.0
     component_two_sat_calls: list = field(default_factory=list)
-    two_sat_budget: int | None = None  # per-component hard cap, when set
-    component_vertices: range | tuple = ()  # current kernel; witnesses when the cap is hit
 
-    def start_component(self, vertices):
+    def start_component(self):
         self.component_two_sat_calls.append(0)
-        self.component_vertices = vertices
 
     def add_two_sat(self):
         self.two_sat_calls += 1
         if self.component_two_sat_calls:
             self.component_two_sat_calls[-1] += 1
-            used = self.component_two_sat_calls[-1]
-            if self.two_sat_budget is not None and used > self.two_sat_budget:
-                raise PromiseViolation(
-                    "two-sat-budget-exceeded", self.component_vertices[:20],
-                    f"a component needed more than {self.two_sat_budget} "
-                    "2-SAT rounds",
-                )
 
     def as_dict(self):
         return {
@@ -132,7 +117,7 @@ def colour_components(g: Graph, probes, comps, colours, stats: SolveStats,
     3-colouring.
     """
     for kernel, twins in comps:
-        stats.start_component(range(len(kernel)))
+        stats.start_component()
         try:
             res = colour_component(g, kernel, probes, stats)
         except PromiseViolation as pv:
@@ -198,8 +183,6 @@ def solve_3col(inst: ProbeInstance, *, oracle_fallback: bool = False) -> Verdict
     Returns one of three verdicts.  A failed structural claim becomes a
     ``not_probe_p5_free`` verdict whose diagnostic names the claim and
     witnessing vertices of ``inst``.  Among the claims:
-    ``two-sat-budget-exceeded`` when one component needs more than
-    ``COMPONENT_TWO_SAT_BUDGET`` 2-SAT rounds, and
     ``two-odd-probe-components`` when a component holds two odd probe
     components or more, no K4, and an induced P5 that no fill edge can
     break.  Such a component with a K4 has no 3-colouring; with neither,
@@ -210,7 +193,7 @@ def solve_3col(inst: ProbeInstance, *, oracle_fallback: bool = False) -> Verdict
     re-solves a refused component whose twin kernel has more than 30
     vertices.
     """
-    stats = SolveStats(two_sat_budget=COMPONENT_TWO_SAT_BUDGET)
+    stats = SolveStats()
     g, probes = inst.graph, inst.probes
 
     def colour():
@@ -615,39 +598,13 @@ def _run_case2(g, probes, kverts, colours, masks, stats):
         )
     skip = decomp.m_r | removed_set
     mu_nonempty = [i for i in (1, 2, 3) if decomp.m_u[i - 1]]
-    for d_assign in _proper_assignments(g, pair, colours):
-        stats.branches += 1
-        seeded, seeded_masks = colours[:], masks[:]
-        paint(g, seeded, seeded_masks, d_assign.items())
-        if not decomp.j_vertices or not mu_nonempty:
-            out = _case2_attempt(g, decomp, seeded, seeded_masks, skip, stats,
-                                 drop_j=False)
-        elif len(mu_nonempty) >= 2:
-            vstar = min(v for i in mu_nonempty for v in decomp.m_u[i - 1])
-            out = None
-            for v_assign in _proper_assignments(g, (vstar,), seeded):
-                stats.branches += 1
-                attempt, attempt_masks = seeded[:], seeded_masks[:]
-                paint(g, attempt, attempt_masks, v_assign.items())
-                out = _case2_attempt(g, decomp, attempt, attempt_masks, skip,
-                                     stats, drop_j=False)
-                if out is not None:
-                    break
-        else:
-            out = _case2_attempt(g, decomp, seeded, seeded_masks, skip, stats,
-                                 drop_j=True)
-        if out is not None:
-            return out
-    return None
-
-
-def _case2_attempt(g, decomp, colours, masks, skip, stats, *, drop_j):
-    """One propagation + 2-SAT round on ``colours`` and ``masks``, in place,
-    with the deferred vertices ``skip`` set aside."""
-    equalities = []
-    if drop_j:
+    vstar, equalities = None, []
+    if decomp.j_vertices and len(mu_nonempty) >= 2:
+        vstar = min(v for i in mu_nonempty for v in decomp.m_u[i - 1])
+    elif decomp.j_vertices and mu_nonempty:
+        # drop J: the kept attachments of each J component agree on the
+        # colours off the M_u class, and finalize_extension colours J
         skip |= decomp.j_vertices
-        mu_nonempty = [i for i in (1, 2, 3) if decomp.m_u[i - 1]]
         palette = tuple(c for c in (1, 2, 3) if c != mu_nonempty[0])
         for comp, _ in decomp.j_components:
             if len(comp) < 2:
@@ -656,8 +613,35 @@ def _case2_attempt(g, decomp, colours, masks, skip, stats, *, drop_j):
             kept = tuple(x for x in nbrs if x not in skip)
             if len(kept) >= 2:
                 equalities.append(EqualityConstraint(kept, palette))
+    equalities = tuple(equalities)
+    for d_assign in _proper_assignments(g, pair, colours):
+        stats.branches += 1
+        seeded, seeded_masks = colours[:], masks[:]
+        paint(g, seeded, seeded_masks, d_assign.items())
+        if vstar is None:
+            out = _case2_attempt(g, decomp, seeded, seeded_masks, skip,
+                                 equalities, stats)
+        else:
+            out = None
+            for v_assign in _proper_assignments(g, (vstar,), seeded):
+                stats.branches += 1
+                attempt, attempt_masks = seeded[:], seeded_masks[:]
+                paint(g, attempt, attempt_masks, v_assign.items())
+                out = _case2_attempt(g, decomp, attempt, attempt_masks, skip,
+                                     equalities, stats)
+                if out is not None:
+                    break
+        if out is not None:
+            return out
+    return None
+
+
+def _case2_attempt(g, decomp, colours, masks, skip, equalities, stats):
+    """One propagation + 2-SAT round on ``colours`` and ``masks``, in place,
+    with the deferred vertices ``skip`` set aside and the J couplings
+    ``equalities``."""
     if _propagate_and_extend(g, colours, masks, stats, skip,
-                             tuple(equalities)) is None:
+                             equalities) is None:
         return None
     return finalize_extension(g, decomp, colours)
 
@@ -675,8 +659,8 @@ def finalize_extension(g: Graph, decomp: CaseDecomposition,
         if all(colours[v] for v in comp):
             continue
         if len(comp) == 1:
-            # an uncoloured J vertex exists only in the drop_j attempt,
-            # which needs exactly one M_u class
+            # an uncoloured J vertex exists only when J is dropped, which
+            # needs exactly one M_u class
             colours[comp[0]] = next(i for i in (1, 2, 3) if decomp.m_u[i - 1])
             continue
         # deferred M_r attachments are colourless here; they pick a free

@@ -9,10 +9,8 @@ from .errors import PromiseViolation
 from .graphs import (
     Graph,
     ProbeInstance,
-    connected_components,
     find_induced_subgraph,
     find_k4,
-    induced_subgraph,
     matching_graph,
     pattern_graph,
     two_colour_components,
@@ -44,7 +42,8 @@ def solve_3col_p3sp1(inst: ProbeInstance, s: int, *,
     """3-colour a partitioned probe (P3+sP1)-free instance.
 
     Low-degree nonprobes are deleted up front and re-coloured greedily at
-    the end; each remaining component goes through the P3-free split or the
+    the end; each component of the rest, found in the input's ids by one
+    pass and copied at most once, goes through the P3-free split or the
     bounded D-plus-S branching.  Nonprobes are pairwise non-adjacent, so one
     pass finds every nonprobe of degree below 3, and all neighbours of a
     deleted one stay in the solved rest.  Raises ValueError when s < 0.
@@ -57,22 +56,17 @@ def solve_3col_p3sp1(inst: ProbeInstance, s: int, *,
     def colour():
         deleted = [v for v in sorted(inst.nonprobes) if g.degree(v) < 3]
         gone = frozenset(deleted)
-        h, hmap = induced_subgraph(g, [v for v in range(g.n) if v not in gone])
-        h_probes = frozenset(i for i, old in enumerate(hmap) if old in inst.probes)
-        try:
-            rest = colour_components(
-                h, h_probes, [(comp, ()) for comp in connected_components(h)],
-                [0] * h.n, stats,
-                lambda host, comp, host_probes, st: _p3sp1_component(
-                    *component_copy(host, comp, host_probes), s, st),
-                oracle_fallback)
-        except PromiseViolation as pv:
-            raise pv.translated(hmap)
-        if rest is None:
+        # g's components without the deleted nonprobes, by least member
+        parts = two_colour_components(
+            g, [v for v in range(g.n) if v not in gone])[1]
+        colours = colour_components(
+            g, inst.probes, [(tuple(sorted(part)), ()) for part in parts],
+            [0] * g.n, stats,
+            lambda host, comp, host_probes, st: _p3sp1_component(
+                *component_copy(host, comp, host_probes), s, st),
+            oracle_fallback)
+        if colours is None:
             return None
-        colours = [0] * g.n
-        for new, old in enumerate(hmap):
-            colours[old] = rest[new]
         masks = seen_masks(g, colours)
         for v in deleted:
             colours[v] = FREE[masks[v]][0]

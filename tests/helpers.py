@@ -1,6 +1,6 @@
 """Brute-force reference oracles, independent of the package internals,
-and adapters that call the solver's branch-state functions on a
-PartialColouring."""
+and adapters that call the solver's branch-state functions on a partial
+colouring given as a tuple, colour 0 for uncoloured."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from probe_chroma import listcol, propagation, solver
 from probe_chroma.errors import ListSizeError
 from probe_chroma.graphs import (
     Graph,
-    PartialColouring,
     _canonical_cycle,
     build_graph,
     induced_subgraph,
@@ -21,6 +20,12 @@ from probe_chroma.graphs import (
     shortest_odd_cycle,
 )
 from probe_chroma.propagation import FREE, Conflict, seen_masks
+
+# most 2-SAT rounds one component can take: max(30, 6 x 9 x 3).  A C5 has 30
+# proper colourings and each takes one round; a triangle has 6, each dominating
+# pair up to 9 (at most 2 free vertices) and each forks into at most 3
+# attempts at the M_u witness v*
+COMPONENT_TWO_SAT_BUDGET = 162
 
 
 def random_graph(n, p, rng):
@@ -51,11 +56,9 @@ def brute_proper_assignments(g: Graph, verts, base):
     every tuple in {1,2,3}^free, kept when the free vertices avoid their
     coloured neighbours and no edge inside ``verts`` is monochromatic."""
     verts = tuple(verts)
-    fixed = {v: base.colours[v] for v in verts if base.colours[v]}
+    fixed = {v: base[v] for v in verts if base[v]}
     free = [v for v in verts if v not in fixed]
-    nbr_cols = {
-        v: {base.colours[w] for w in g.adj[v] if base.colours[w]} for v in free
-    }
+    nbr_cols = {v: {base[w] for w in g.adj[v] if base[w]} for v in free}
     for choice in itertools.product((1, 2, 3), repeat=len(free)):
         assign = dict(fixed)
         assign.update(zip(free, choice))
@@ -70,8 +73,7 @@ def brute_proper_assignments(g: Graph, verts, base):
 def is_proper_on(g: Graph, partial) -> bool:
     """True when no edge of g joins two vertices of one colour in
     ``partial``; uncoloured (0) vertices never clash."""
-    cols = partial.colours
-    return not any(cols[u] and cols[u] == cols[v] for u, v in g.edges)
+    return not any(partial[u] and partial[u] == partial[v] for u, v in g.edges)
 
 
 def split_partition(g: Graph):
@@ -158,8 +160,8 @@ def full_list_formula(g: Graph, partial, equalities=(), skip=frozenset()):
                     clauses.append((-(var_of[(u, c)] + 1), -(var_of[(v, c)] + 1)))
 
     def lit(v, c):  # True, False or a DIMACS literal
-        if partial.colours[v]:
-            return partial.colours[v] == c
+        if partial[v]:
+            return partial[v] == c
         return var_of[(v, c)] + 1 if (v, c) in var_of else False
 
     for eq in equalities:
@@ -189,29 +191,37 @@ def full_extension(g: Graph, partial, equalities=(), skip=frozenset()):
     assignment = listcol.solve_two_sat(num_vars, clauses)
     if assignment is None:
         return None
-    return partial.with_colours({
+    return with_colours(partial, {
         v: next(c for c in row if assignment[var_of[(v, c)]])
         for v, row in lists.items()})
 
 
+def with_colours(partial, assignment) -> tuple:
+    """``partial`` with the colours of the dict ``assignment`` painted on."""
+    colours = list(partial)
+    for v, c in assignment.items():
+        colours[v] = c
+    return tuple(colours)
+
+
 # The solver's branch state is a colour list and its seen-colour masks.  The
-# helpers below call the functions that take that state on a
-# PartialColouring instead, and hand their result back in the same form.
+# helpers below call the functions that take that state on a partial
+# colouring tuple instead, and hand their result back in the same form.
 
 def branch_state(g: Graph, partial):
     """The colour list of ``partial`` and its seen-colour masks."""
-    colours = list(partial.colours)
+    colours = list(partial)
     return colours, seen_masks(g, colours)
 
 
 def propagate(g: Graph, start, skip=frozenset()):
     """``propagation.propagate`` from ``start``: the Conflict, or the
-    fixpoint as a PartialColouring."""
+    fixpoint as a tuple."""
     colours, masks = branch_state(g, start)
     conflict = propagation.propagate(g, colours, masks, skip)
     if conflict is not None:
         return conflict
-    return PartialColouring(tuple(colours))
+    return tuple(colours)
 
 
 def compute_lists(g: Graph, partial, skip=frozenset()):
@@ -222,16 +232,16 @@ def compute_lists(g: Graph, partial, skip=frozenset()):
 def formula(g: Graph, partial, equalities=(), skip=frozenset()):
     """``listcol.build_list_formula`` over the lists of ``partial``."""
     return listcol.build_list_formula(
-        g, partial.colours, compute_lists(g, partial, skip), equalities)
+        g, partial, compute_lists(g, partial, skip), equalities)
 
 
 def extend_by_2list(g: Graph, partial, equalities=(), skip=frozenset()):
     """``listcol.extend_by_2list`` from ``partial``: the completion as a
-    PartialColouring, or None."""
+    tuple, or None."""
     colours, masks = branch_state(g, partial)
     if listcol.extend_by_2list(g, colours, masks, equalities, skip) is None:
         return None
-    return PartialColouring(tuple(colours))
+    return tuple(colours)
 
 
 def make_case_decomposition(g: Graph, probes, k_vertices, psi):
@@ -242,19 +252,19 @@ def make_case_decomposition(g: Graph, probes, k_vertices, psi):
 
 def finalize_extension(g: Graph, decomp, partial) -> tuple:
     """``solver.finalize_extension`` of ``partial``, as a tuple."""
-    return tuple(solver.finalize_extension(g, decomp, list(partial.colours)))
+    return tuple(solver.finalize_extension(g, decomp, list(partial)))
 
 
 def proper_assignments(g: Graph, verts, base):
     """``solver._proper_assignments`` consistent with ``base``."""
-    return solver._proper_assignments(g, verts, list(base.colours))
+    return solver._proper_assignments(g, verts, list(base))
 
 
 def reference_propagate(g: Graph, start, skip=frozenset()):
     """Reference for ``propagation.propagate`` in its earlier form, which
-    took a PartialColouring, built the seen-colour masks afresh and
-    returned a new PartialColouring or the Conflict."""
-    colours = list(start.colours)
+    took a partial colouring, built the seen-colour masks afresh and
+    returned a new one or the Conflict."""
+    colours = list(start)
     masks = seen_masks(g, colours, skip)
     queue = deque(v for v in range(g.n) if not colours[v]
                   and len(FREE[masks[v]]) == 1 and v not in skip)
@@ -274,18 +284,18 @@ def reference_propagate(g: Graph, start, skip=frozenset()):
     for v in range(g.n):
         if not FREE[masks[v]] and v not in skip:
             return Conflict(v)
-    return PartialColouring(tuple(colours))
+    return tuple(colours)
 
 
 def reference_extend_by_2list(g: Graph, partial, equalities=(),
                               skip=frozenset()):
     """Reference for ``listcol.extend_by_2list`` in its earlier form, which
-    took a PartialColouring, read its lists off freshly built seen-colour
-    masks and returned a new PartialColouring or None.  The formula is
-    built and solved by ``listcol`` itself."""
-    masks = seen_masks(g, partial.colours, skip)
+    took a partial colouring, read its lists off freshly built seen-colour
+    masks and returned a new one or None.  The formula is built and solved
+    by ``listcol`` itself."""
+    masks = seen_masks(g, partial, skip)
     lists = {}
-    for v, c in enumerate(partial.colours):
+    for v, c in enumerate(partial):
         if c or v in skip:
             continue
         if len(FREE[masks[v]]) > 2:
@@ -294,8 +304,8 @@ def reference_extend_by_2list(g: Graph, partial, equalities=(),
     if not equalities and not listcol._shared_colours(g, lists):
         if not all(lists.values()):
             return None
-        return partial.with_colours({v: row[0] for v, row in lists.items()})
-    f = listcol.build_list_formula(g, partial.colours, lists, equalities)
+        return with_colours(partial, {v: row[0] for v, row in lists.items()})
+    f = listcol.build_list_formula(g, partial, lists, equalities)
     if f.unsat:
         return None
     assignment = listcol.solve_two_sat(f.num_vars, f.clauses)
@@ -307,7 +317,7 @@ def reference_extend_by_2list(g: Graph, partial, equalities=(),
             updates[v] = next(c for c in row if assignment[f.var_of[(v, c)]])
         else:
             updates[v] = row[0]
-    return partial.with_colours(updates)
+    return with_colours(partial, updates)
 
 
 def _seen_colours(g: Graph, colours, v):
@@ -317,7 +327,7 @@ def _seen_colours(g: Graph, colours, v):
 def set_propagate(g: Graph, start, skip=frozenset()):
     """Set-based reference for :func:`propagate`: every open live
     vertex is rescanned whenever a neighbour gets a colour."""
-    colours = list(start.colours)
+    colours = list(start)
     if any(colours[v] for v in skip):
         raise ValueError("skipped vertices must be uncoloured")
     live = [v for v in range(g.n) if v not in skip]
@@ -336,7 +346,7 @@ def set_propagate(g: Graph, start, skip=frozenset()):
     for v in live:
         if len(_seen_colours(g, colours, v)) == 3:
             return Conflict(v)
-    return PartialColouring(tuple(colours))
+    return tuple(colours)
 
 
 def set_lists(g: Graph, partial, skip=frozenset()):
@@ -344,9 +354,9 @@ def set_lists(g: Graph, partial, skip=frozenset()):
     list-size check: every open vertex outside ``skip`` and its list."""
     lists = {}
     for v in range(g.n):
-        if partial.colours[v] or v in skip:
+        if partial[v] or v in skip:
             continue
-        seen = _seen_colours(g, partial.colours, v)
+        seen = _seen_colours(g, partial, v)
         lists[v] = tuple(c for c in (1, 2, 3) if c not in seen)
     return lists
 
@@ -557,15 +567,15 @@ def relabel(g: Graph, partial, perm):
     """g and a partial colouring of it, relabelled by perm (a sequence: new
     id of vertex v)."""
     colours = [0] * g.n
-    for v, c in enumerate(partial.colours):
+    for v, c in enumerate(partial):
         colours[perm[v]] = c
     edges = [(perm[u], perm[v]) for u, v in g.edges]
-    return build_graph(g.n, edges), PartialColouring(tuple(colours))
+    return build_graph(g.n, edges), tuple(colours)
 
 
 def relabel_back(partial, perm):
     """A partial colouring of the graph relabelled by perm, in the old ids."""
-    return PartialColouring(tuple(partial.colours[p] for p in perm))
+    return tuple([partial[p] for p in perm])
 
 
 def skip_cases(count, seed):
@@ -582,14 +592,14 @@ def skip_cases(count, seed):
                 colours[v] = rng.choice(sorted(free))
         skip = frozenset(
             v for v in range(n) if not colours[v] and rng.random() < 0.4)
-        yield g, PartialColouring(tuple(colours)), skip
+        yield g, tuple(colours), skip
 
 
 def without(g: Graph, partial, skip):
     """The copy of g without ``skip``, ``partial`` restricted to it and the
     new-to-old id map."""
     sub, back = induced_subgraph(g, [v for v in range(g.n) if v not in skip])
-    rest = PartialColouring(tuple(partial.colours[v] for v in back))
+    rest = tuple([partial[v] for v in back])
     return sub, rest, back
 
 
@@ -600,5 +610,5 @@ def map_back(n, partial, back):
         return None
     colours = [0] * n
     for new, old in enumerate(back):
-        colours[old] = partial.colours[new]
-    return PartialColouring(tuple(colours))
+        colours[old] = partial[new]
+    return tuple(colours)

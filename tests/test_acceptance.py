@@ -13,7 +13,6 @@ import time
 
 import helpers
 from probe_chroma.graphs import (
-    PartialColouring,
     build_graph,
     cycle_graph,
     find_induced_subgraph,
@@ -31,7 +30,6 @@ from probe_chroma.oracles import oracle_is_probe_hfree, oracle_k_colourable
 from probe_chroma.propagation import Conflict
 from probe_chroma.solver import (
     COLOURABLE,
-    COMPONENT_TWO_SAT_BUDGET,
     NOT_COLOURABLE,
     NOT_PROBE_P5_FREE,
     solve_3col,
@@ -153,16 +151,16 @@ def test_4_propagation_oracle(capsys):
                 free = {1, 2, 3} - {colours[u] for u in g.adj[v]}
                 if free:
                     colours[v] = rng.choice(sorted(free))
-            start = PartialColouring(tuple(colours))
+            start = tuple(colours)
             out = helpers.propagate(g, start)
             if isinstance(out, Conflict):
-                assert not list(helpers.brute_extensions(g, start.colours, 3))
+                assert not list(helpers.brute_extensions(g, start, 3))
             else:
                 forced = [v for v in range(n)
-                          if start.colours[v] == 0 and out.colours[v] != 0]
-                for ext in helpers.brute_extensions(g, start.colours, 3):
+                          if start[v] == 0 and out[v] != 0]
+                for ext in helpers.brute_extensions(g, start, 3):
                     for v in forced:
-                        assert ext[v] == out.colours[v]
+                        assert ext[v] == out[v]
                 assert helpers.propagate(g, out) == out
             for _ in range(3):
                 perm = helpers.shuffled_permutation(n, perm_rng)
@@ -270,7 +268,7 @@ def test_8_scaling_sweep(capsys):
                 assert verdict.status == COLOURABLE
                 assert verify_colouring(inst.graph, verdict.colouring) is None
                 calls = verdict.stats.component_two_sat_calls
-                assert max(calls, default=0) <= COMPONENT_TWO_SAT_BUDGET
+                assert max(calls, default=0) <= helpers.COMPONENT_TWO_SAT_BUDGET
             medians.append(statistics.median(times))
         for prev, cur in zip(medians, medians[1:]):
             # 1ms floor so sub-millisecond noise cannot fail the ratio

@@ -16,12 +16,12 @@ from probe_chroma.generators import (
 )
 from probe_chroma.graphs import (
     build_graph,
-    connected_components,
     cycle_graph,
     find_induced_subgraph,
     find_k4,
     induced_subgraph,
     pattern_graph,
+    two_colour_components,
 )
 from probe_chroma.oracles import (
     CompletionCertificate,
@@ -186,7 +186,7 @@ class TestUnionFamily:
         assert set(inst.meta["chunks"]) <= {"path-split", "pentagon", "split-pure"}
         # a union is probe-P5-free iff every component is; for each chunk
         # family the full nonprobe clique happens to be a valid fill
-        for comp in connected_components(inst.graph):
+        for comp in two_colour_components(inst.graph, range(inst.graph.n))[1]:
             sub, back = induced_subgraph(inst.graph, comp)
             nset = frozenset(
                 i for i, v in enumerate(back) if v in inst.nonprobes

@@ -2,6 +2,7 @@ import collections
 import itertools
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,11 +16,8 @@ from probe_chroma.errors import (
 from probe_chroma.graphs import (
     Graph,
     InducedEmbedding,
-    PartialColouring,
     build_graph,
     complete_graph,
-    component_of,
-    connected_components,
     cycle_graph,
     find_induced_subgraph,
     find_k4,
@@ -98,26 +96,6 @@ class TestValidateProbeInstance:
             validate_probe_instance(g, frozenset({0}), frozenset({1}))
 
 
-class TestComponents:
-    def test_two_disjoint_edges(self):
-        g = matching_graph(2)
-        assert connected_components(g) == [(0, 1), (2, 3)]
-
-    def test_cycle_is_one_component(self):
-        assert connected_components(cycle_graph(5)) == [(0, 1, 2, 3, 4)]
-
-    def test_empty_graph_singletons(self):
-        assert connected_components(build_graph(3, [])) == [(0,), (1,), (2,)]
-
-    def test_component_of_each_vertex(self):
-        rng = random.Random(19)
-        for _ in range(200):
-            n = rng.randint(1, 14)
-            g = helpers.random_graph(n, rng.uniform(0.05, 0.4), rng)
-            for comp in connected_components(g):
-                assert all(component_of(g, v) == comp for v in comp)
-
-
 class TestTwinClasses:
     def test_pentagon_blowup(self):
         # parts {0, 5}, {1}, {2, 6, 7}, {3}, {4} of a C5
@@ -138,11 +116,12 @@ class TestTwinClasses:
         twins = 0
         for _ in range(1500):
             g, _ = helpers.twin_draw(rng)
+            parts = two_colour_components(g, range(g.n))[1]
             for s in rng.sample(range(g.n), 3):
-                comp = component_of(g, s)
+                comp = sorted(next(p for p in parts if s in p))
                 classes = twin_classes(g, s)
                 members = [v for m in classes.values() for v in m]
-                assert sorted(members) == list(comp)
+                assert sorted(members) == comp
                 assert next(iter(classes.values()))[0] == s
                 grouped = collections.defaultdict(list)
                 for v in comp:
@@ -177,7 +156,9 @@ class TestTwoColourComponents:
             assert all(colours[v] == 3 for v in range(n) if v not in subset)
             # one part per component of the copy, by least member, each
             # listed in breadth-first order from its least member
-            comps = connected_components(sub)
+            ref = nx.Graph(sub.edges)
+            ref.add_nodes_from(range(sub.n))
+            comps = sorted(tuple(sorted(c)) for c in nx.connected_components(ref))
             assert [tuple(sorted(p)) for p in parts] == [
                 tuple(back[v] for v in comp) for comp in comps]
             assert all(p[0] == min(p) for p in parts)
@@ -443,18 +424,3 @@ class TestSplitPartition:
             return False
 
         assert (helpers.split_partition(g) is not None) == brute_is_split()
-
-
-class TestPartialColouring:
-    def test_with_colours_and_proper(self):
-        g = path_graph(3)
-        base = PartialColouring.blank(3)
-        pc = base.with_colours({0: 1, 1: 2})
-        assert pc.colours[0] == 1 and pc.colours[2] == 0
-        assert helpers.is_proper_on(g, pc)
-        assert not helpers.is_proper_on(g, base.with_colours({0: 1, 1: 1}))
-
-    @pytest.mark.parametrize("colours", [(0, 4), (-1, 1), (0, 1.5)])
-    def test_colours_outside_0_to_3_rejected(self, colours):
-        with pytest.raises(ValueError):
-            PartialColouring(colours)

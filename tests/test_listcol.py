@@ -7,7 +7,6 @@ from hypothesis import assume, given, strategies as st
 import helpers
 from probe_chroma.errors import ListSizeError
 from probe_chroma.graphs import (
-    PartialColouring,
     build_graph,
     complete_graph,
     cycle_graph,
@@ -50,24 +49,24 @@ class TestTwoSat:
 class TestLists:
     def test_open_lists_on_cycle(self):
         g = cycle_graph(5)
-        lists = helpers.compute_lists(g, PartialColouring((1, 2, 1, 0, 0)))
+        lists = helpers.compute_lists(g, (1, 2, 1, 0, 0))
         assert lists == {3: (2, 3), 4: (2, 3)}
 
     def test_all_coloured_means_no_vars(self):
         g = path_graph(3)
-        f = helpers.formula(g, PartialColouring((1, 2, 1)))
+        f = helpers.formula(g, (1, 2, 1))
         assert f.num_vars == 0 and not f.unsat
 
     def test_list_overflow_names_vertex(self):
         g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
         with pytest.raises(ListSizeError) as e:
-            helpers.compute_lists(g, PartialColouring.blank(3))
+            helpers.compute_lists(g, (0,) * 3)
         assert e.value.vertex == 0
         assert e.value.list_size == 3
 
     def test_formula_var_count_is_total_list_size(self):
         g = cycle_graph(5)
-        f = helpers.formula(g, PartialColouring((1, 2, 1, 0, 0)))
+        f = helpers.formula(g, (1, 2, 1, 0, 0))
         assert f.num_vars == sum(len(row) for row in f.lists.values())
         assert f.num_vars == 4
 
@@ -75,40 +74,40 @@ class TestLists:
 class TestExtend:
     def test_cycle_last_vertex_forced(self):
         g = cycle_graph(5)
-        out = helpers.extend_by_2list(g, PartialColouring((1, 2, 1, 2, 0)))
-        assert out.colours == (1, 2, 1, 2, 3)
+        out = helpers.extend_by_2list(g, (1, 2, 1, 2, 0))
+        assert out == (1, 2, 1, 2, 3)
 
     def test_adjacent_singleton_lists_clash(self):
         g = complete_graph(4)
-        out = helpers.extend_by_2list(g, PartialColouring((2, 3, 0, 0)))
+        out = helpers.extend_by_2list(g, (2, 3, 0, 0))
         assert out is None
 
     def test_equal_colours_on_an_edge_impossible(self):
         # vertex 2 of colour 3 leaves the edge 0-1 the lists (1, 2)
         g = complete_graph(3)
         eq = EqualityConstraint((0, 1), (1, 2))
-        partial = PartialColouring((0, 0, 3))
+        partial = (0, 0, 3)
         assert helpers.extend_by_2list(g, partial, [eq]) is None
 
     def test_cycle_two_open_vertices(self):
         g = cycle_graph(5)
-        out = helpers.extend_by_2list(g, PartialColouring((1, 2, 1, 0, 0)))
+        out = helpers.extend_by_2list(g, (1, 2, 1, 0, 0))
         assert out is not None
-        assert (out.colours[3], out.colours[4]) in {(2, 3), (3, 2)}
+        assert (out[3], out[4]) in {(2, 3), (3, 2)}
 
     def test_chain_over_shared_open_list(self):
         # u and w both see only colour 1, so their lists are (2, 3)
         g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        partial = PartialColouring((1, 0, 1, 0, 1))
+        partial = (1, 0, 1, 0, 1)
         eq = EqualityConstraint((1, 3), (2, 3))
         out = helpers.extend_by_2list(g, partial, [eq])
         assert out is not None
-        assert out.colours[1] == out.colours[3]
+        assert out[1] == out[3]
 
     def test_chain_against_an_edge(self):
         # same shared (2, 3) lists, but the chained pair is adjacent
         g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
-        partial = PartialColouring((1, 0, 0, 1))
+        partial = (1, 0, 0, 1)
         eq = EqualityConstraint((1, 2), (2, 3))
         assert helpers.extend_by_2list(g, partial, [eq]) is None
 
@@ -135,13 +134,13 @@ def _case(n, eseed, p, cseed, qseed):
         verts = tuple(qrng.sample(range(n), size))
         # full palette: a coupling never narrower than any member's open list
         groups.append(EqualityConstraint(verts, (1, 2, 3)))
-    return g, PartialColouring(tuple(colours)), groups
+    return g, tuple(colours), groups
 
 
 def _brute_list_solutions(g, partial, lists, groups):
     verts = sorted(lists)
     for pick in itertools.product(*(lists[v] for v in verts)):
-        full = list(partial.colours)
+        full = list(partial)
         for v, c in zip(verts, pick):
             full[v] = c
         if any(full[u] == full[v] for u, v in g.edges):
@@ -168,7 +167,7 @@ class TestExtendAgainstBrute:
         brute = set(_brute_list_solutions(g, partial, lists, groups))
         assert (out is not None) == bool(brute)
         if out is not None:
-            assert out.colours in brute
+            assert out in brute
 
 
 class TestListsAgainstSetReference:
@@ -218,14 +217,14 @@ class TestSkip:
 
     def test_skipped_vertex_seeing_three_colours_stays_blank(self):
         g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
-        start = PartialColouring((0, 1, 2, 3))
+        start = (0, 1, 2, 3)
         assert helpers.extend_by_2list(g, start) is None
         assert helpers.extend_by_2list(g, start, (), {0}) == start
 
     def test_coloured_skip_vertex_rejected(self):
         with pytest.raises(ValueError):
             helpers.compute_lists(
-                path_graph(3), PartialColouring((0, 2, 0)), {1})
+                path_graph(3), (0, 2, 0), {1})
 
 
 class TestTiedVertices:
@@ -290,15 +289,15 @@ class TestTiedVertices:
     def test_untied_two_list_vertex_takes_its_least_colour(self):
         # 0 sees colour 1 (list 2, 3); its listed neighbour 1 sees 2 and 3
         g = build_graph(5, [(0, 1), (0, 2), (1, 3), (1, 4)])
-        partial = PartialColouring((0, 0, 1, 2, 3))
+        partial = (0, 0, 1, 2, 3)
         f = helpers.formula(g, partial)
         assert f.lists == {0: (2, 3), 1: (1,)}
         assert f.num_vars == 0 and f.var_of == {} and f.clauses == ()
-        assert helpers.extend_by_2list(g, partial).colours == (2, 1, 1, 2, 3)
+        assert helpers.extend_by_2list(g, partial) == (2, 1, 1, 2, 3)
 
     def test_adjacent_same_colour_singletons_stay_unsatisfiable(self):
         g = complete_graph(4)
-        partial = PartialColouring((2, 3, 0, 0))
+        partial = (2, 3, 0, 0)
         f = helpers.formula(g, partial)
         assert f.lists == {2: (1,), 3: (1,)}
         assert f.var_of == {(2, 1): 0, (3, 1): 1}
@@ -306,7 +305,7 @@ class TestTiedVertices:
 
     def test_vertex_tied_only_by_an_equality_gets_variables(self):
         g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        partial = PartialColouring((1, 0, 1, 0, 1))
+        partial = (1, 0, 1, 0, 1)
         assert helpers.formula(g, partial).num_vars == 0
         eq = EqualityConstraint((1, 3), (2, 3))
         f = helpers.formula(g, partial, [eq])

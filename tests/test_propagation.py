@@ -5,24 +5,24 @@ from hypothesis import given, settings, strategies as st
 
 import helpers
 from probe_chroma.errors import ListSizeError
-from probe_chroma.graphs import PartialColouring, build_graph, path_graph
+from probe_chroma.graphs import build_graph, path_graph
 from probe_chroma.listcol import EqualityConstraint, extend_by_2list
 from probe_chroma.propagation import Conflict, paint, propagate, seen_masks
 
 
 def seeded(g, assignment):
-    return PartialColouring.blank(g.n).with_colours(assignment)
+    return helpers.with_colours((0,) * g.n, assignment)
 
 
 def coloured_set(pc):
-    return {v for v, c in enumerate(pc.colours) if c}
+    return {v for v, c in enumerate(pc) if c}
 
 
 class TestExamples:
     def test_triangle_forces_third_colour(self):
         g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
         out = helpers.propagate(g, seeded(g, {0: 1, 1: 2}))
-        assert out.colours == (1, 2, 3)
+        assert out == (1, 2, 3)
 
     def test_star_conflict_at_centre(self):
         g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
@@ -50,7 +50,7 @@ def _graph_and_seed(n, eseed, p, cseed):
         free = {1, 2, 3} - {colours[w] for w in g.adj[v]}
         if free:
             colours[v] = rng.choice(sorted(free))
-    return g, PartialColouring(tuple(colours))
+    return g, tuple(colours)
 
 
 class TestSoundness:
@@ -58,13 +58,13 @@ class TestSoundness:
     def test_forced_colours_hold_in_every_extension(self, case):
         g, start = case
         out = helpers.propagate(g, start)
-        exts = list(helpers.brute_extensions(g, start.colours, 3))
+        exts = list(helpers.brute_extensions(g, start, 3))
         if isinstance(out, Conflict):
             assert not exts
             return
         for v in range(g.n):
-            if out.colours[v] and not start.colours[v]:
-                assert all(ext[v] == out.colours[v] for ext in exts)
+            if out[v] and not start[v]:
+                assert all(ext[v] == out[v] for ext in exts)
 
     @given(proper_seeds)
     def test_fixpoint_stays_proper(self, case):
@@ -81,7 +81,7 @@ class TestSoundness:
             return
         assert coloured_set(out) >= coloured_set(start)
         for v in coloured_set(start):
-            assert out.colours[v] == start.colours[v]
+            assert out[v] == start[v]
         assert helpers.propagate(g, out) == out
 
 
@@ -159,9 +159,9 @@ class TestSkip:
             if isinstance(out, Conflict):
                 continue
             for v in range(g.n):
-                if v in skip or out.colours[v]:
+                if v in skip or out[v]:
                     continue
-                seen = {out.colours[w] for w in g.adj[v] if out.colours[w]}
+                seen = {out[w] for w in g.adj[v] if out[w]}
                 assert len(seen) <= 1, (g.edges, start, skip, v)
                 checked += 1
         assert checked
@@ -175,7 +175,7 @@ class TestSkip:
     def test_skipped_vertex_is_never_coloured(self):
         g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
         start = seeded(g, {0: 1, 1: 2})
-        assert helpers.propagate(g, start).colours == (1, 2, 3)
+        assert helpers.propagate(g, start) == (1, 2, 3)
         assert helpers.propagate(g, start, skip={2}) == start
 
     def test_coloured_skip_vertex_rejected(self):
@@ -234,7 +234,7 @@ class TestBranchState:
     """A branch carries one colour list and its seen-colour masks: ``paint``
     and ``propagate`` keep the masks equal to ``seen_masks`` of the list,
     and the in-place ``propagate`` and ``extend_by_2list`` give what their
-    earlier PartialColouring forms gave."""
+    earlier forms on an immutable colouring gave."""
 
     @settings(max_examples=300)
     @given(branch_cases)
@@ -250,7 +250,7 @@ class TestBranchState:
 
     @staticmethod
     def check_extend(g, partial, groups, skip):
-        colours, masks = list(partial.colours), seen_masks(g, partial.colours)
+        colours, masks = list(partial), seen_masks(g, partial)
         try:
             want = helpers.reference_extend_by_2list(g, partial, groups, skip)
         except ListSizeError as e:
@@ -261,15 +261,15 @@ class TestBranchState:
         out = extend_by_2list(g, colours, masks, groups, skip)
         if want is None:
             # a failed round leaves the list as it was
-            assert out is None and tuple(colours) == partial.colours
+            assert out is None and tuple(colours) == partial
         else:
-            assert out is colours and tuple(colours) == want.colours
+            assert out is colours and tuple(colours) == want
 
     @settings(max_examples=300)
     @given(branch_cases)
     def test_matches_the_partial_colouring_forms(self, case):
         g, colours, _, skip, groups = case
-        start = PartialColouring(tuple(colours))
+        start = tuple(colours)
         self.check_extend(g, start, groups, skip)
         masks = seen_masks(g, colours)
         got = propagate(g, colours, masks, skip)
@@ -277,7 +277,7 @@ class TestBranchState:
         if isinstance(want, Conflict):
             assert got == want
             return
-        assert got is None and tuple(colours) == want.colours
+        assert got is None and tuple(colours) == want
         self.check_extend(g, want, groups, skip)
 
     def test_skipped_vertices_must_be_uncoloured(self):

@@ -19,13 +19,10 @@ from probe_chroma.generators import (
 )
 from probe_chroma.graphs import (
     InducedEmbedding,
-    PartialColouring,
     _canonical_cycle,
     build_graph,
     complete_graph,
     complete_multipartite_graph,
-    component_of,
-    connected_components,
     cycle_graph,
     disjoint_union,
     find_induced_subgraph,
@@ -39,7 +36,6 @@ from probe_chroma.graphs import (
 from probe_chroma.oracles import oracle_is_probe_hfree, oracle_k_colourable
 from probe_chroma.solver import (
     COLOURABLE,
-    COMPONENT_TWO_SAT_BUDGET,
     NOT_COLOURABLE,
     NOT_PROBE_P5_FREE,
     CaseDecomposition,
@@ -211,11 +207,8 @@ class TestP5FreeSolver:
 
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_oracle_on_p5_free_graphs(self, seed):
-        from probe_chroma.generators import gen_p5free_host
-        from probe_chroma.graphs import connected_components, induced_subgraph
-
         g = gen_p5free_host(11, 0.35 + 0.05 * (seed % 7), seed)
-        for comp in connected_components(g):
+        for comp in two_colour_components(g, range(g.n))[1]:
             sub, _ = induced_subgraph(g, comp)
             v = solve_3col(all_probe(sub))
             want = oracle_k_colourable(sub, 3)
@@ -350,7 +343,7 @@ class TestReferenceCycle:
                 assert len(got[1]) >= 7
             elif isinstance(got[0], int):  # the branches read from the table
                 assert list(helpers.proper_assignments(
-                    g, got, PartialColouring.blank(n))) == [
+                    g, got, (0,) * n)) == [
                         dict(zip(got, c.values()))
                         for c in _CYCLE_COLOURINGS[len(got)]]
             seen[got if isinstance(got, str) else
@@ -498,7 +491,8 @@ class TestTwinScreens:
             g, [v for v in range(g.n) if v not in nonprobes])
         if len(odd) != 1:
             return None
-        comp = next(c for c in connected_components(g) if odd[0][0] in c)
+        comp = next(c for c in two_colour_components(g, range(g.n))[1]
+                    if odd[0][0] in c)
         sub, back = induced_subgraph(g, comp)
         probes = frozenset(i for i, v in enumerate(back) if v not in nonprobes)
         return sub, tuple(sorted(back.index(v) for v in odd[0])), probes
@@ -539,10 +533,11 @@ class TestTwinKernel:
     @staticmethod
     def visited(g, probes):
         """The vertices of the components that hold an odd probe component."""
+        comp_of = {v: c for c in two_colour_components(g, range(g.n))[1]
+                   for v in c}
         out = set()
         for part in two_colour_components(g, probes)[2]:
-            if part[0] not in out:
-                out.update(component_of(g, part[0]))
+            out.update(comp_of[part[0]])
         return out
 
     def test_same_status_as_the_kernel_instance(self):
@@ -601,23 +596,24 @@ class TestTwinKernel:
         assert back == (1, 2, 3, 4, 5)
         assert solve_3col(all_probe(sub)).status == v.status
 
-    def test_budget_refusal_names_input_ids(self, monkeypatch):
-        import probe_chroma.solver as solver
-
-        # a probe path through a nonprobe, and an all-probe C5 whose parts
-        # 0 and 2 are doubled: seven vertices, a kernel of five
-        parts = [(0, 1), (2,), (3, 4), (5,), (6,)]
-        c5 = build_graph(7, [(a, b) for i in range(5) for a in parts[i]
-                             for b in parts[(i + 1) % 5]])
-        g = disjoint_union([path_graph(3), c5])
+    def test_kernel_refusal_names_input_ids(self):
+        # a probe path through a nonprobe, and an all-probe C7 whose parts
+        # 0 and 3 are doubled: nine vertices, a kernel of seven, refused
+        # inside the kernel core for its shortest odd cycle
+        parts = [(0, 1), (2,), (3,), (4, 5), (6,), (7,), (8,)]
+        c7 = build_graph(9, [(a, b) for i in range(7) for a in parts[i]
+                             for b in parts[(i + 1) % 7]])
+        g = disjoint_union([path_graph(3), c7])
         perm = helpers.shuffled_permutation(g.n, random.Random(5))
         h = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
-        inst = _probe_side(h, {perm[1]})
-        monkeypatch.setattr(solver, "COMPONENT_TWO_SAT_BUDGET", 0)
-        v = solve_3col(inst)
-        assert v.diagnostic["claim"] == "two-sat-budget-exceeded"
-        assert v.diagnostic["witnesses"]
-        assert set(v.diagnostic["witnesses"]) <= {perm[u] for u in range(3, 10)}
+        v = solve_3col(_probe_side(h, {perm[1]}))
+        assert v.diagnostic["claim"] == "long-induced-odd-cycle"
+        wit = v.diagnostic["witnesses"]
+        assert sorted(wit) == sorted(
+            min(perm[3 + u] for u in part) for part in parts)
+        # consecutive witnesses adjacent, no chord: an induced C7 of h
+        assert all(h.has_edge(wit[i], wit[j]) == ((j - i) % 7 in (1, 6))
+                   for i in range(7) for j in range(i + 1, 7))
 
 
 class TestDominatingPair:
@@ -650,7 +646,7 @@ class TestCaseDecomposition:
         g = build_graph(7, [(0, 1), (1, 2), (0, 2), (0, 3), (0, 4), (1, 4),
                             (3, 5), (3, 6)])
         probes = frozenset({0, 1, 2, 3, 6})
-        psi = PartialColouring((1, 2, 3, 0, 0, 0, 0))
+        psi = (1, 2, 3, 0, 0, 0, 0)
         return g, helpers.make_case_decomposition(g, probes, probes, psi)
 
     def test_k_classes(self):
@@ -672,7 +668,7 @@ class TestCaseDecomposition:
         g = build_graph(
             7, [(0, 1), (1, 2), (0, 2), (3, 4), (3, 5), (0, 5), (0, 6)]
         )
-        psi = PartialColouring((1, 2, 3, 0, 0, 0, 0))
+        psi = (1, 2, 3, 0, 0, 0, 0)
         d = helpers.make_case_decomposition(
             g, frozenset(range(5)), frozenset({0, 1, 2}), psi
         )
@@ -686,7 +682,7 @@ class TestCaseDecomposition:
         g = build_graph(
             7, [(0, 1), (1, 2), (0, 2), (4, 5), (4, 6), (0, 6), (1, 6), (3, 6)]
         )
-        psi = PartialColouring((1, 2, 3, 0, 0, 0, 0))
+        psi = (1, 2, 3, 0, 0, 0, 0)
         with pytest.raises(PromiseViolation) as e:
             helpers.make_case_decomposition(
                 g, frozenset(range(6)), frozenset({0, 1, 2}), psi
@@ -699,7 +695,7 @@ class TestCaseDecomposition:
         g = build_graph(
             7, [(0, 1), (1, 2), (0, 2), (0, 4), (0, 5), (4, 6), (5, 6), (3, 0)]
         )
-        psi = PartialColouring((1, 2, 3, 0, 0, 0, 0))
+        psi = (1, 2, 3, 0, 0, 0, 0)
         d = helpers.make_case_decomposition(
             g, frozenset(range(6)), frozenset(range(6)), psi
         )
@@ -721,20 +717,20 @@ class TestFinalize:
     def test_deferred_nonprobe_takes_remaining_colour(self):
         g = build_graph(3, [(0, 1), (0, 2)])
         d = self.dummy(m_r=frozenset({0}))
-        out = helpers.finalize_extension(g, d, PartialColouring((0, 1, 2)))
+        out = helpers.finalize_extension(g, d, (0, 1, 2))
         assert out == (3, 1, 2)
 
     def test_removed_vertex_replays_recorded_colour(self):
         g = build_graph(3, [(0, 1), (0, 2)])
         d = self.dummy(l_r=frozenset({0}), removed_lr=((0, 1),))
-        out = helpers.finalize_extension(g, d, PartialColouring((0, 2, 2)))
+        out = helpers.finalize_extension(g, d, (0, 2, 2))
         assert out == (1, 2, 2)
 
     def test_saturated_nonprobe_breaks_promise(self):
         g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
         d = self.dummy(m_r=frozenset({0}))
         with pytest.raises(PromiseViolation) as e:
-            helpers.finalize_extension(g, d, PartialColouring((0, 1, 2, 3)))
+            helpers.finalize_extension(g, d, (0, 1, 2, 3))
         assert e.value.claim == "no-free-colour"
 
     def test_isolated_j_takes_single_class_colour(self):
@@ -743,7 +739,7 @@ class TestFinalize:
             j_vertices=frozenset({1}), j_components=(((1,), (1,)),),
             m_u=(frozenset(), frozenset({9}), frozenset()),
         )
-        out = helpers.finalize_extension(g, d, PartialColouring((1, 0)))
+        out = helpers.finalize_extension(g, d, (1, 0))
         assert out == (1, 2)
 
     def test_even_j_component_gets_bipartition_palette(self):
@@ -752,7 +748,7 @@ class TestFinalize:
         g = build_graph(3, [(0, 1), (0, 2), (1, 2)])
         d = self.dummy(j_vertices=frozenset({1, 2}),
                        j_components=(((1, 2), (1, 2)),))
-        out = helpers.finalize_extension(g, d, PartialColouring((3, 0, 0)))
+        out = helpers.finalize_extension(g, d, (3, 0, 0))
         assert out == (3, 1, 2)
 
 
@@ -838,36 +834,9 @@ class TestBudgets:
         v = solve_3col(inst)
         assert v.status == COLOURABLE
         assert all(
-            c <= COMPONENT_TWO_SAT_BUDGET
+            c <= helpers.COMPONENT_TWO_SAT_BUDGET
             for c in v.stats.component_two_sat_calls
         )
-
-    def test_overrun_is_a_refusal(self, monkeypatch):
-        import probe_chroma.solver as solver
-
-        monkeypatch.setattr(solver, "COMPONENT_TWO_SAT_BUDGET", 0)
-        inst = gen_probe_instance(40, 0.5, 17, family="pentagon")
-        v = solve_3col(inst)
-        assert v.status == NOT_PROBE_P5_FREE
-        assert v.diagnostic["claim"] == "two-sat-budget-exceeded"
-        assert v.diagnostic["witnesses"]
-        assert set(v.diagnostic["witnesses"]) <= set(range(inst.graph.n))
-
-    def test_overrun_raises_under_optimisation(self):
-        code = (
-            "from probe_chroma.errors import PromiseViolation\n"
-            "from probe_chroma.solver import SolveStats\n"
-            "print(__debug__)\n"
-            "stats = SolveStats(two_sat_budget=1)\n"
-            "stats.start_component((7, 8))\n"
-            "stats.add_two_sat()\n"
-            "try:\n"
-            "    stats.add_two_sat()\n"
-            "except PromiseViolation as e:\n"
-            "    print(e.claim, e.witnesses)\n"
-        )
-        out = _run_python(["-O", "-c", code])
-        assert out.splitlines() == ["False", "two-sat-budget-exceeded [7, 8]"]
 
 
 def _run_python(args):
@@ -987,15 +956,16 @@ class TestNoWorkingCopies:
             assert all(inst.graph.adj[u] == adj
                        for adj, group in classes.items() for u in group)
             searched.append(tuple(members))
-        assert sorted(searched) == sorted(
-            {component_of(inst.graph, p[0]) for p in odd})
+        comps = two_colour_components(inst.graph, range(inst.graph.n))[1]
+        comp_of = {u: tuple(sorted(c)) for c in comps for u in c}
+        assert sorted(searched) == sorted({comp_of[p[0]] for p in odd})
         assert len(v.stats.component_two_sat_calls) == calls["twin_classes"]
         assert calls["_twin_kernel"] == calls["twin_classes"]
         # every vertex outside them keeps the colour the pass wrote
         visited = set().union(*searched)
         assert all(v.colouring[u] == written[u]
                    for u in range(inst.graph.n) if u not in visited)
-        return calls, len(connected_components(inst.graph))
+        return calls, len(comps)
 
     def test_large_path_split(self, monkeypatch):
         # one component with a bipartite probe side: coloured in place
@@ -1089,7 +1059,8 @@ class TestRowsRead:
     @pytest.mark.parametrize("family", ["pentagon", "split-pure"])
     def test_a_handful_of_rows(self, family):
         inst = gen_probe_instance(2000, 0.4, 7, family=family)
-        assert len(connected_components(inst.graph)) == 1
+        assert len(two_colour_components(
+            inst.graph, range(inst.graph.n))[1]) == 1
         assert_colourable(inst, solve_3col(inst))
         assert len(inst.graph.bitrows()) <= 10
 
@@ -1111,21 +1082,6 @@ class TestRefusalsInLaterComponents:
             "detail": "shortest odd cycle has length 7; only 3 or 5 can occur",
         }
 
-    def test_two_sat_budget(self, monkeypatch):
-        import probe_chroma.solver as solver
-
-        # components (0, 5, 7): a path through nonprobe 5; (1, 2, 3, 4, 6): C5
-        edges = [(0, 5), (1, 2), (1, 6), (2, 3), (3, 4), (4, 6), (5, 7)]
-        inst = _probe_side(build_graph(8, edges), {5})
-        assert solve_3col(inst).status == COLOURABLE
-        monkeypatch.setattr(solver, "COMPONENT_TWO_SAT_BUDGET", 0)
-        v = solve_3col(inst)
-        assert v.diagnostic == {
-            "claim": "two-sat-budget-exceeded",
-            "witnesses": [1, 2, 3, 4, 6],
-            "detail": "a component needed more than 0 2-SAT rounds",
-        }
-
 
 class TestProperAssignments:
     @staticmethod
@@ -1141,7 +1097,7 @@ class TestProperAssignments:
             if free:
                 colours[v] = rng.choice(sorted(free))
         verts = rng.sample(range(n), rng.randint(0, min(n, 6)))
-        return g, PartialColouring(tuple(colours)), tuple(verts)
+        return g, tuple(colours), tuple(verts)
 
     def test_matches_product_and_filter(self):
         rng = random.Random(2024)
@@ -1150,19 +1106,19 @@ class TestProperAssignments:
             g, base, verts = self.random_case(rng)
             got = list(helpers.proper_assignments(g, verts, base))
             assert got == list(helpers.brute_proper_assignments(g, verts, base))
-            fixed = sum(1 for v in verts if base.colours[v])
+            fixed = sum(1 for v in verts if base[v])
             mixed += 0 < fixed < len(verts)
             nonempty += bool(got)
         assert mixed >= 100 and nonempty >= 200
 
     def test_clashing_fixed_vertices_yield_nothing(self):
         g = path_graph(3)
-        base = PartialColouring((2, 2, 0))
+        base = (2, 2, 0)
         assert list(helpers.proper_assignments(g, (0, 1, 2), base)) == []
         assert list(helpers.proper_assignments(g, (2, 1, 0), base)) == []
 
     def test_order_follows_the_given_vertices(self):
-        base = PartialColouring.blank(3)
+        base = (0,) * 3
         out = list(helpers.proper_assignments(triangle, (2, 0, 1), base))
         assert out[0] == {2: 1, 0: 2, 1: 3}
         assert out[1] == {2: 1, 0: 3, 1: 2}
@@ -1171,7 +1127,7 @@ class TestProperAssignments:
     @pytest.mark.parametrize("k, count", [(3, 6), (5, 30)])
     def test_cycle_table_is_the_blank_cycle_in_order(self, k, count):
         want = list(helpers.proper_assignments(
-            cycle_graph(k), range(k), PartialColouring.blank(k)))
+            cycle_graph(k), range(k), (0,) * k))
         assert list(_CYCLE_COLOURINGS[k]) == want
         assert len(want) == count
 

@@ -174,9 +174,42 @@ class TestP3sP1Solver:
         with pytest.raises(ValueError):
             solve_3col_p3sp1(probe_inst(path_graph(4), ()), -1)
 
-    def test_stats_do_not_carry_the_probe_budget(self):
-        v = solve_3col_p3sp1(probe_inst(path_graph(4), ()), 1)
-        assert v.stats.two_sat_budget is None
+    @staticmethod
+    def copies(monkeypatch):
+        """The vertex sets of every ``induced_subgraph`` call from now on."""
+        from probe_chroma import graphs, solver, special
+
+        out = []
+        real = graphs.induced_subgraph
+
+        def counted(g, vertices):
+            out.append(tuple(vertices))
+            return real(g, vertices)
+        for module in (graphs, solver, special):
+            if hasattr(module, "induced_subgraph"):
+                monkeypatch.setattr(module, "induced_subgraph", counted)
+        return out
+
+    def test_connected_input_is_not_copied(self, monkeypatch):
+        # a probe C5 and a nonprobe of degree 3: nothing is deleted, so the
+        # one component is all of the input and is solved in place
+        copies = self.copies(monkeypatch)
+        g = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4),
+                            (0, 5), (2, 5), (3, 5)])
+        v = solve_3col_p3sp1(probe_inst(g, {5}), 1)
+        assert v.status == COLOURABLE
+        assert copies == []
+
+    def test_each_component_is_copied_once(self, monkeypatch):
+        # two such C5s and a nonprobe of degree 1 on the first, deleted:
+        # each component of the rest is copied once, in input ids
+        copies = self.copies(monkeypatch)
+        c5 = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5), (2, 5), (3, 5)]
+        g = build_graph(13, c5 + [(u + 6, v + 6) for u, v in c5] + [(0, 12)])
+        v = solve_3col_p3sp1(probe_inst(g, {5, 11, 12}), 1)
+        assert v.status == COLOURABLE
+        assert verify_colouring(g, v.colouring) is None
+        assert copies == [tuple(range(6)), tuple(range(6, 12))]
 
     def test_oracle_fallback_rescues_refused_component(self):
         inst = probe_inst(path_graph(6), ())

@@ -6,16 +6,21 @@ colouring, diagnostic, branch count or 2-SAT round count on the first
 verdict counts per (solver, status) and the refusal counts per (solver,
 claim) of the same draws, so a change that alters certificates or branch
 counts but no status moves ``PINNED`` alone.  3,000 draws reach the
-``drop_j`` attempt of the |C|=3 case 57 times; 300 reach it 3 times.  A
-change that alters verdicts on purpose updates the pin and records why in
-CHANGES.md.  Pinned under CPython 3.11.7.
+attempt of the |C|=3 case that drops J 57 times; 300 reach it 3 times.  A
+change that alters verdicts on purpose updates the pin, and the one-command
+pin in README.md, and records why in CHANGES.md.  Pinned under CPython
+3.11.7.
 """
 
+import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import verdict_signature
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 PINNED = "7b0d01ce4a18cc4a4367b89d6fe0e1786791eb5c69a85c14172cee5e18e756c9"
 PINNED_DRAWS = 3000
@@ -57,6 +62,15 @@ def test_statuses_match_the_pin():
     _, counts = verdict_signature.signature(PINNED_DRAWS, claims=claims)
     assert dict(counts) == STATUSES
     assert dict(claims) == CLAIMS
+
+
+def test_readme_command_expects_the_current_digest():
+    command = re.search(
+        r"verdict_signature\.py --draws (\d+) \\\n\s+--expect ([0-9a-f]{64})\n",
+        README.read_text())
+    assert command is not None
+    assert command[1] == "20000"
+    assert verdict_signature.signature(20000)[0] == command[2]
 
 
 def test_expect_exits_1_and_prints_both_digests_when_they_differ(capsys):
